@@ -633,6 +633,128 @@ let prop_random_emission =
       canon (Core.Dphyp.enumerate_ccps g)
       = canon (Hypergraph.Csg_enum.csg_cmp_pairs g))
 
+(* ---------- applied edges are derived state ---------- *)
+
+(* Random hypergraphs with everything the pending-predicate rule has to
+   cope with: generalized edges (a [w] node), non-inner operators and
+   relations with free variables.  Some of these graphs have no valid
+   plan at all; the properties below only look at what the DP tables
+   hold. *)
+let rich_graph seed =
+  let base =
+    Workloads.Random_graphs.hyper ~seed ~n:7 ~extra_edges:3 ~hyperedges:2
+      ~max_hypernode:3 ()
+  in
+  let rng = Random.State.make [| seed |] in
+  let n = G.num_nodes base in
+  let pick s = List.nth (Ns.to_list s) (Random.State.int rng (Ns.cardinal s)) in
+  let ops =
+    Relalg.Operator.
+      [| join; join; join; left_outer; left_anti; left_semi; full_outer; left_nest |]
+  in
+  let edges =
+    Array.map
+      (fun (e : He.t) ->
+        let rest = Ns.diff (G.all_nodes base) (He.covers e) in
+        let w =
+          if (not (Ns.is_empty rest)) && Random.State.int rng 4 = 0 then
+            Ns.singleton (pick rest)
+          else Ns.empty
+        in
+        let op =
+          if Random.State.int rng 3 = 0 then
+            ops.(Random.State.int rng (Array.length ops))
+          else Relalg.Operator.join
+        in
+        He.make ~id:e.id ~w ~op ~pred:e.pred ~sel:e.sel e.u e.v)
+      (G.edges base)
+  in
+  let rels =
+    Array.init n (fun i ->
+        let r = G.relation base i in
+        if Random.State.int rng 6 = 0 then
+          { r with G.free = Ns.singleton (pick (Ns.remove i (G.all_nodes base))) }
+        else r)
+  in
+  G.make rels edges
+
+let derived_graphs () =
+  List.concat_map
+    (fun k ->
+      [
+        Workloads.Noninner.star_antijoins ~n_rel:7 ~k ();
+        Workloads.Noninner.cycle_outerjoins ~n_rel:7 ~k ();
+      ])
+    [ 0; 2; 4 ]
+  |> List.map (fun tree ->
+         Conflicts.Derive.hypergraph
+           (Conflicts.Analysis.analyze ~conservative:true tree))
+
+(* The edges a plan has applied, as the plan itself records them. *)
+let applied_of (p : Plans.Plan.t) = Nodeset.Bitset.to_list p.applied
+
+(* The derived set: every edge whose relations the plan covers. *)
+let covered_edges g (p : Plans.Plan.t) =
+  List.filter
+    (fun i -> Ns.subset (G.edge_cover g i) p.set)
+    (List.init (G.num_edges g) Fun.id)
+
+let applied_is_derived g p = applied_of p = covered_edges g p
+
+let table_applied_is_derived g dp =
+  let ok = ref true in
+  Plans.Dp_table.iter (fun p -> if not (applied_is_derived g p) then ok := false) dp;
+  !ok
+
+let rec subtrees_applied_is_derived g (p : Plans.Plan.t) =
+  applied_is_derived g p
+  &&
+  match p.tree with
+  | Plans.Plan.Scan _ | Plans.Plan.Compound _ -> true
+  | Plans.Plan.Join j ->
+      subtrees_applied_is_derived g j.left
+      && subtrees_applied_is_derived g j.right
+
+(* IDP and the partitioned tier contract the graph between rounds, so
+   only their first table (built over the input graph) is comparable
+   with the input's edge covers; the flattened result is, node by
+   node. *)
+let first_table_and_plan solve =
+  let tables = ref [] in
+  let plan =
+    Plans.Dp_table.with_create_observer
+      (fun t -> tables := t :: !tables)
+      solve
+  in
+  (List.nth_opt (List.rev !tables) 0, plan)
+
+let applied_derived_everywhere g =
+  let dphyp, _ = Core.Dphyp.solve_with_table g in
+  let dpsize, _ = Core.Dpsize.solve_with_table g in
+  let layered solve =
+    match first_table_and_plan solve with
+    | first, plan ->
+        Option.fold ~none:true ~some:(table_applied_is_derived g) first
+        && Option.fold ~none:true ~some:(subtrees_applied_is_derived g) plan
+  in
+  table_applied_is_derived g dphyp
+  && table_applied_is_derived g dpsize
+  && layered (fun () -> Core.Idp.solve ~k:3 g)
+  && layered (fun () -> Core.Partition.solve ~block_size:3 ~k:3 g)
+
+let prop_applied_is_derived =
+  QCheck.Test.make
+    ~name:"applied = edges covered by the plan's set (DPhyp/DPsize/IDP/partition)"
+    ~count:60
+    QCheck.(int_bound 10_000)
+    (fun seed -> applied_derived_everywhere (rich_graph seed))
+
+let test_applied_derived_noninner () =
+  List.iteri
+    (fun i g ->
+      check (Printf.sprintf "derived graph %d" i) true (applied_derived_everywhere g))
+    (derived_graphs ())
+
 (* ---------- indexed enumeration vs. naive reference ---------- *)
 
 (* A reference DPhyp enumerator: the same five member functions as
@@ -839,4 +961,10 @@ let () =
         ] );
       ("emit", [ Alcotest.test_case "applicable_op" `Quick test_applicable_op ]);
       ("properties", [ q prop_random_agreement; q prop_random_emission ]);
+      ( "applied-derived",
+        [
+          q prop_applied_is_derived;
+          Alcotest.test_case "non-inner derived graphs" `Quick
+            test_applied_derived_noninner;
+        ] );
     ]
