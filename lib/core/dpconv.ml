@@ -206,7 +206,7 @@ let solve ?(model = Costing.Cost_model.c_out) ?(objective = Cmax)
     let edge_sels = Array.map Array.of_list edge_sels in
     (* cards.(s): estimated cardinality of the join over s with every
        internal predicate applied exactly once — by the pending rule
-       (Emit.resolve) this is what any valid plan over s produces,
+       of Emit this is what any valid plan over s produces,
        independent of its shape. *)
     let cards = Array.make size 1.0 in
     for v = 0 to n - 1 do

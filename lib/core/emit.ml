@@ -1,14 +1,14 @@
 module Ns = Nodeset.Node_set
-module Bs = Nodeset.Bitset
 module G = Hypergraph.Graph
 module He = Hypergraph.Hyperedge
+module Op = Relalg.Operator
+module Plan = Plans.Plan
 
 type filter = Ns.t -> Ns.t -> (He.t * He.orientation) list -> bool
 
 type t = {
   g : G.t;
   model : Costing.Cost_model.t;
-  dp : Plans.Dp_table.t;
   counters : Counters.t;
   filter : filter option;
   bound : float;
@@ -18,222 +18,203 @@ type t = {
          additive and non-negative (every subplan of an optimal plan
          then costs at most the optimum): the surviving table is
          byte-identical to the unbounded one.  [infinity] = off. *)
+  find : Ns.t -> Plan.t option;
+  admits : Ns.t -> float -> bool;
+  add : int -> Plan.t -> unit;
 }
+
+let make_with ?filter ~find ~admits ~add ~model ~counters g =
+  { g; model; counters; filter; bound = infinity; find; admits; add }
 
 let make ?filter ?(bound = infinity) ~model ~counters g dp =
-  { g; model; dp; counters; filter; bound }
+  {
+    (make_with ?filter ~model ~counters g ~find:(Plans.Dp_table.find dp)
+       ~admits:(Plans.Dp_table.admits dp)
+       ~add:(fun _rank plan -> ignore (Plans.Dp_table.update dp plan)))
+    with
+    bound;
+  }
 
-let within_bound t (plan : Plans.Plan.t) = plan.cost <= t.bound
+(* The part an incident edge plays in joining s1 and s2.  A plan over
+   S has applied exactly the edges whose cover lies inside S, so an
+   edge is pending — covered by this join, applied by neither side,
+   and not connecting — iff its cover lies inside s1 ∪ s2 but not
+   inside either side.  The gathered edges all meet the smaller side,
+   so none lies inside the bigger one and testing [small] suffices. *)
+type role = Apart | Forward | Backward | Pending
 
-let applicable_op edges =
-  let non_inner =
-    List.filter
-      (fun ((e : He.t), _) -> e.op.Relalg.Operator.kind <> Relalg.Operator.Inner)
-      edges
-  in
-  match non_inner with
-  | [] -> `Inner
-  | [ (e, o) ] -> `Op (e, o)
-  | _ :: _ :: _ -> `Ambiguous
-
-type pair_info = {
-  edge_ids : int list;  (** connecting plus pending edges *)
-  sel : float;
-  resolution : [ `Inner | `Op of He.t * He.orientation ];
-  connecting : (He.t * He.orientation) list;
-}
-
-(* Pending edges: predicates all of whose relations are assembled by
-   this join but which no aligned (u ⊆ one side, v ⊆ other side) cut
-   ever applied.  The paper's model leaves them silently dropped; a
-   real optimizer must evaluate every predicate exactly once, so we
-   conjoin pending inner predicates as filters at the first covering
-   join.  A pending NON-inner edge cannot be recovered by filtering —
-   the decomposition is invalid and the pair is rejected. *)
-let resolve g (p1 : Plans.Plan.t) (p2 : Plans.Plan.t) =
-  match G.connecting_edges g p1.set p2.set with
-  | [] -> None
-  | connecting -> (
-      let both = Ns.union p1.set p2.set in
-      let is_connecting (e : He.t) =
-        List.exists (fun ((c : He.t), _) -> c.id = e.id) connecting
-      in
-      (* Cheapest rejection first: the precomputed cover mask filters
-         out every edge not fully assembled by this join before any
-         bitset or list work happens. *)
-      let pending = ref [] in
-      for i = 0 to G.num_edges g - 1 do
-        if
-          Ns.subset (G.edge_cover g i) both
-          && (not (Bs.mem i p1.applied))
-          && (not (Bs.mem i p2.applied))
-        then begin
-          let e = G.edge g i in
-          if not (is_connecting e) then pending := e :: !pending
-        end
-      done;
-      let pending = !pending in
-      if
-        List.exists
-          (fun (e : He.t) -> e.op.Relalg.Operator.kind <> Relalg.Operator.Inner)
-          pending
-      then None
-      else
-        match applicable_op connecting with
-        | `Ambiguous -> None
-        | (`Inner | `Op _) as resolution ->
-            let sel =
-              Costing.Cardinality.selectivity_product connecting
-              *. List.fold_left (fun s (e : He.t) -> s *. e.sel) 1.0 pending
-            in
-            let edge_ids =
-              List.map (fun ((e : He.t), _) -> e.id) connecting
-              @ List.rev_map (fun (e : He.t) -> e.id) pending
-            in
-            Some { edge_ids; sel; resolution; connecting })
-
-(* Build [left op right] if the orientation is evaluable; applies the
-   dependent switch of Section 5.6 and rejects orientations whose left
-   argument depends on the right one. *)
-let build_one ~g ~(model : Costing.Cost_model.t) ~counters ~op ~edge_ids ~sel
-    (left : Plans.Plan.t) (right : Plans.Plan.t) =
-  let out (p : Plans.Plan.t) = Ns.diff (G.free_of g p.set) p.set in
-  let fl = out left and fr = out right in
-  if Ns.intersects fl right.set then None
+let role g s1 s2 ~small ~both id =
+  let cover = G.edge_cover g id in
+  if not (Ns.subset cover both) then Apart
   else
-    let op =
-      if Ns.intersects fr left.set then
-        if op.Relalg.Operator.kind = Relalg.Operator.Full_outer then None
-        else Some (Relalg.Operator.to_dependent op)
-      else Some op
-    in
-    match op with
-    | None -> None
-    | Some op ->
-        counters.Counters.cost_calls <- counters.Counters.cost_calls + 1;
-        Some (Plans.Plan.join model ~op ~edge_ids ~sel left right)
+    (* [He.orient], less its [w ⊆ s1 ∪ s2] test, which the cover test
+       has just made *)
+    let e = G.edge g id in
+    if Ns.subset e.u s1 && Ns.subset e.v s2 then Forward
+    else if Ns.subset e.u s2 && Ns.subset e.v s1 then Backward
+    else if Ns.subset cover small then Apart
+    else Pending
 
-(* All valid plans for a resolved pair: both argument orders for
-   commutative operators, the edge-dictated order otherwise. *)
-let candidates ~model ~counters g (p1 : Plans.Plan.t) (p2 : Plans.Plan.t) =
-  match resolve g p1 p2 with
-  | None -> []
-  | Some { edge_ids; sel; resolution; _ } ->
-      let mk l r op = build_one ~g ~model ~counters ~op ~edge_ids ~sel l r in
-      let opts =
-        match resolution with
-        | `Inner ->
-            [ mk p1 p2 Relalg.Operator.join; mk p2 p1 Relalg.Operator.join ]
-        | `Op (e, orientation) ->
-            let left, right =
-              match orientation with
-              | He.Forward -> (p1, p2)
-              | He.Backward -> (p2, p1)
-            in
-            mk left right e.op
-            ::
-            (if Relalg.Operator.commutative e.op then [ mk right left e.op ]
-             else [])
+let smaller s1 s2 = if Ns.cardinal s1 <= Ns.cardinal s2 then s1 else s2
+
+(* Both lists below re-read the gathered edges, so they are only built
+   when needed: [edge_ids] for a winning candidate, [connecting] when
+   a filter is installed. *)
+
+(* Connecting ids ascending, then pending ids ascending. *)
+let edge_ids g ~cnt ~npend s1 s2 =
+  let small = smaller s1 s2 and both = Ns.union s1 s2 in
+  let acc = ref [] in
+  if npend > 0 then
+    for i = cnt - 1 downto 0 do
+      let id = G.incident_edge g i in
+      match role g s1 s2 ~small ~both id with
+      | Pending -> acc := id :: !acc
+      | Apart | Forward | Backward -> ()
+    done;
+  for i = cnt - 1 downto 0 do
+    let id = G.incident_edge g i in
+    match role g s1 s2 ~small ~both id with
+    | Forward | Backward -> acc := id :: !acc
+    | Apart | Pending -> ()
+  done;
+  !acc
+
+(* What [G.connecting_edges g s1 s2] returns. *)
+let connecting g ~cnt s1 s2 =
+  let small = smaller s1 s2 and both = Ns.union s1 s2 in
+  let acc = ref [] in
+  for i = cnt - 1 downto 0 do
+    let id = G.incident_edge g i in
+    match role g s1 s2 ~small ~both id with
+    | Forward -> acc := (G.edge g id, He.Forward) :: !acc
+    | Backward -> acc := (G.edge g id, He.Backward) :: !acc
+    | Apart | Pending -> ()
+  done;
+  !acc
+
+(* One argument order of a resolved pair — p1 on the left iff [first].
+   Rejects orders whose left argument depends on the right one,
+   applies the dependent switch of Section 5.6, costs the candidate,
+   and builds its plan only if it is within the bound and the table
+   admits it.  [ids] is the pair's edge-id list once built, [] before;
+   the (possibly new) list is returned so both orders share it. *)
+let candidate t ~rank ~op ~sel ~cnt ~npend ~ids ~first (p1 : Plan.t)
+    (p2 : Plan.t) =
+  let g = t.g in
+  let left = if first then p1 else p2 and right = if first then p2 else p1 in
+  (* the sides are disjoint, so FT(P) ∩ other side needs no [\ P] *)
+  let dependent = Ns.intersects (G.free_of g right.set) left.set in
+  if
+    Ns.intersects (G.free_of g left.set) right.set
+    || (dependent && op.Op.kind = Op.Full_outer)
+  then ids
+  else begin
+    let op = if dependent then Op.to_dependent op else op in
+    t.counters.Counters.cost_calls <- t.counters.Counters.cost_calls + 1;
+    let card = Costing.Cardinality.estimate op left.card right.card sel in
+    let cost = Plan.join_cost t.model ~op left right ~card in
+    if cost <= t.bound && t.admits (Ns.union p1.set p2.set) cost then begin
+      let ids =
+        match ids with [] -> edge_ids g ~cnt ~npend p1.set p2.set | l -> l
       in
-      List.filter_map Fun.id opts
+      t.add rank (Plan.join_of ~op ~edge_ids:ids ~sel ~card ~cost left right);
+      ids
+    end
+    else ids
+  end
 
-let try_build t ~op ~edge_ids ~sel (left : Plans.Plan.t) (right : Plans.Plan.t) =
-  match
-    build_one ~g:t.g ~model:t.model ~counters:t.counters ~op ~edge_ids ~sel
-      left right
-  with
-  | None -> ()
-  | Some plan ->
-      if within_bound t plan then ignore (Plans.Dp_table.update t.dp plan)
+(* EmitCsgCmp for two plans: one pass over the edges incident to the
+   smaller side finds the connecting edges (selectivity product in
+   ascending id order, operator resolution) and the pending ones
+   (rejecting the pair if one is non-inner); a second pass, only when
+   something is pending, folds their selectivities in descending id
+   order.  Both fold orders are part of the byte-identity contract in
+   emit.mli.  Then each valid argument order is costed: both for a
+   commutative operator, the edge-dictated one otherwise, and in
+   [directed] mode only those with p1 on the left.  Returns whether the
+   pair resolved and passed the filter. *)
+let join_pair t ~directed (p1 : Plan.t) (p2 : Plan.t) =
+  let g = t.g and s1 = p1.set and s2 = p2.set in
+  let small = smaller s1 s2 and both = Ns.union s1 s2 in
+  let cnt = G.incident_edges g small in
+  let nconn = ref 0 and npend = ref 0 and valid = ref true in
+  let conn_sel = ref 1.0 in
+  (* the one non-inner connecting edge, if any, dictates the operator
+     and its orientation; two of them cannot be combined *)
+  let rule = ref (-1) and rule_forward = ref true in
+  for i = 0 to cnt - 1 do
+    let id = G.incident_edge g i in
+    match role g s1 s2 ~small ~both id with
+    | Apart -> ()
+    | Pending ->
+        incr npend;
+        if (G.edge g id).op.Op.kind <> Op.Inner then valid := false
+    | (Forward | Backward) as r ->
+        let e = G.edge g id in
+        incr nconn;
+        conn_sel := !conn_sel *. e.sel;
+        if e.op.Op.kind <> Op.Inner then
+          if !rule < 0 then begin
+            rule := id;
+            rule_forward := r = Forward
+          end
+          else valid := false
+  done;
+  if !nconn = 0 || not !valid then false
+  else begin
+    let pend_sel = ref 1.0 in
+    if !npend > 0 then
+      for i = cnt - 1 downto 0 do
+        let id = G.incident_edge g i in
+        match role g s1 s2 ~small ~both id with
+        | Pending -> pend_sel := !pend_sel *. (G.edge g id).sel
+        | Apart | Forward | Backward -> ()
+      done;
+    let sel = !conn_sel *. !pend_sel in
+    let passes =
+      match t.filter with
+      | None -> true
+      | Some f ->
+          f s1 s2 (connecting g ~cnt s1 s2)
+          ||
+          (t.counters.Counters.filter_rejected <-
+             t.counters.Counters.filter_rejected + 1;
+           false)
+    in
+    if passes then begin
+      let op = if !rule < 0 then Op.join else (G.edge g !rule).op in
+      let fwd = !rule_forward and npend = !npend in
+      let ids =
+        if directed && not fwd then []
+        else candidate t ~rank:0 ~op ~sel ~cnt ~npend ~ids:[] ~first:fwd p1 p2
+      in
+      if Op.commutative op && not (directed && fwd) then
+        ignore
+          (candidate t ~rank:1 ~op ~sel ~cnt ~npend ~ids ~first:(not fwd) p1
+             p2)
+    end;
+    passes
+  end
 
-let passes_filter t s1 s2 edges =
-  match t.filter with
-  | None -> true
-  | Some f ->
-      if f s1 s2 edges then true
-      else begin
-        t.counters.Counters.filter_rejected <-
-          t.counters.Counters.filter_rejected + 1;
-        false
-      end
-
-let plans_of t s1 s2 =
-  match Plans.Dp_table.find t.dp s1, Plans.Dp_table.find t.dp s2 with
-  | Some p1, Some p2 -> Some (p1, p2)
-  | _ -> None
-
-(* The canonical pair-processing core, parameterized over table
-   access so the sequential DP table and the sharded parallel one
-   share one code path.  [add] receives the candidate's rank within
-   the pair (0 or 1) — the sharded table folds it into its
-   deterministic tie-break; the sequential [emit_pair] ignores it.
-   Candidate order is part of the contract: first the given (or
-   edge-dictated) argument order, then the commutative swap. *)
-let emit_pair_with ~find ~add ?filter ~model ~counters g s1 s2 =
-  match find s1, find s2 with
-  | Some (p1 : Plans.Plan.t), Some (p2 : Plans.Plan.t) -> (
-      match resolve g p1 p2 with
-      | None -> ()
-      | Some info -> (
-          let ok =
-            match filter with
-            | None -> true
-            | Some f ->
-                f s1 s2 info.connecting
-                ||
-                (counters.Counters.filter_rejected <-
-                   counters.Counters.filter_rejected + 1;
-                 false)
-          in
-          if ok then begin
-            counters.Counters.ccp_emitted <-
-              counters.Counters.ccp_emitted + 1;
-            let { edge_ids; sel; resolution; _ } = info in
-            let try_build rank ~op left right =
-              match build_one ~g ~model ~counters ~op ~edge_ids ~sel left right
-              with
-              | None -> ()
-              | Some plan -> add rank plan
-            in
-            match resolution with
-            | `Inner ->
-                let op = Relalg.Operator.join in
-                try_build 0 ~op p1 p2;
-                try_build 1 ~op p2 p1
-            | `Op (e, orientation) ->
-                let left, right =
-                  match orientation with
-                  | He.Forward -> (p1, p2)
-                  | He.Backward -> (p2, p1)
-                in
-                try_build 0 ~op:e.op left right;
-                if Relalg.Operator.commutative e.op then
-                  try_build 1 ~op:e.op right left
-          end))
+let emit t ~directed s1 s2 =
+  match t.find s1, t.find s2 with
+  | Some p1, Some p2 ->
+      if join_pair t ~directed p1 p2 then
+        t.counters.Counters.ccp_emitted <- t.counters.Counters.ccp_emitted + 1
   | _ -> ()
 
-let emit_pair t s1 s2 =
-  emit_pair_with
-    ~find:(Plans.Dp_table.find t.dp)
-    ~add:(fun _rank plan ->
-      if within_bound t plan then ignore (Plans.Dp_table.update t.dp plan))
-    ?filter:t.filter ~model:t.model ~counters:t.counters t.g s1 s2
+let emit_pair t s1 s2 = emit t ~directed:false s1 s2
 
-let emit_directed t s1 s2 =
-  match plans_of t s1 s2 with
-  | None -> ()
-  | Some (p1, p2) -> (
-      match resolve t.g p1 p2 with
-      | None -> ()
-      | Some info when passes_filter t s1 s2 info.connecting -> (
-          t.counters.Counters.ccp_emitted <- t.counters.Counters.ccp_emitted + 1;
-          let { edge_ids; sel; resolution; _ } = info in
-          match resolution with
-          | `Inner -> try_build t ~op:Relalg.Operator.join ~edge_ids ~sel p1 p2
-          | `Op (e, He.Forward) -> try_build t ~op:e.op ~edge_ids ~sel p1 p2
-          | `Op (e, He.Backward) ->
-              (* the edge's left side lives in s2: only a commutative
-                 operator may still put s1 on the left *)
-              if Relalg.Operator.commutative e.op then
-                try_build t ~op:e.op ~edge_ids ~sel p1 p2)
-      | Some _rejected -> ())
+let emit_directed t s1 s2 = emit t ~directed:true s1 s2
+
+let candidates ~model ~counters g p1 p2 =
+  let acc = ref [] in
+  let t =
+    make_with ~model ~counters g
+      ~find:(fun _ -> None)
+      ~admits:(fun _ _ -> true)
+      ~add:(fun _rank plan -> acc := plan :: !acc)
+  in
+  ignore (join_pair t ~directed:false p1 p2);
+  List.rev !acc

@@ -20,10 +20,12 @@ type filter =
 (** Extra validity test applied before plan construction — the
     TES-generate-and-test mode of Section 5.8 plugs in here.  Receives
     the pair ordered as given to {!emit_pair} and its connecting
-    edges. *)
+    edges.  It runs while the graph's incident-edge buffer is in use,
+    so it must not call the graph's arena-backed accessors. *)
 
 type t
-(** Emission context: graph, cost model, DP table, counters, filter. *)
+(** Emission context: graph, cost model, table access, counters,
+    filter, bound. *)
 
 val make :
   ?filter:filter ->
@@ -42,67 +44,40 @@ val make :
     surviving table (and the final plan) is identical to the unbounded
     run's. *)
 
+val make_with :
+  ?filter:filter ->
+  find:(Nodeset.Node_set.t -> Plans.Plan.t option) ->
+  admits:(Nodeset.Node_set.t -> float -> bool) ->
+  add:(int -> Plans.Plan.t -> unit) ->
+  model:Costing.Cost_model.t ->
+  counters:Counters.t ->
+  Hypergraph.Graph.t ->
+  t
+(** {!make} over any table: [find] resolves each side's best plan;
+    [admits s cost] says whether a candidate over [s] of that cost
+    could enter the table (answering [true] is always safe, it
+    only costs an allocation); [add rank plan] receives each built
+    candidate.  [rank] is the candidate's place within its pair — 0
+    for the first (given or edge-dictated) argument order, 1 for the
+    commutative swap — which the parallel sharded table folds into
+    its deterministic tie-break.  {!make} is [make_with] over
+    [Dp_table.find], [Dp_table.admits] and [Dp_table.update], plus
+    the bound. *)
+
 val emit_pair : t -> Nodeset.Node_set.t -> Nodeset.Node_set.t -> unit
 (** Canonical emission for symmetric enumerators (DPhyp, DPccp): the
     pair is unordered; both argument orders are tried for commutative
     operators, and the operator's own orientation (which side is the
     hyperedge's [u]) decides the order for non-commutative ones.
-    No-op if no edge connects the pair. *)
-
-val emit_pair_with :
-  find:(Nodeset.Node_set.t -> Plans.Plan.t option) ->
-  add:(int -> Plans.Plan.t -> unit) ->
-  ?filter:filter ->
-  model:Costing.Cost_model.t ->
-  counters:Counters.t ->
-  Hypergraph.Graph.t ->
-  Nodeset.Node_set.t ->
-  Nodeset.Node_set.t ->
-  unit
-(** The pair-processing core behind {!emit_pair}, parameterized over
-    table access: [find] resolves each side's best plan, [add]
-    receives every successfully built candidate together with its
-    rank within the pair (0 for the first/oriented argument order, 1
-    for the commutative swap).  Candidate construction, counter
-    charging and candidate order are identical to {!emit_pair} by
-    construction — the parallel sharded DP table plugs in here and
-    folds the rank into its deterministic tie-break. *)
+    Counts one [ccp_emitted] when the pair resolves and passes the
+    filter; no-op if no edge connects the pair. *)
 
 val emit_directed : t -> Nodeset.Node_set.t -> Nodeset.Node_set.t -> unit
 (** Directed emission for ordered enumerators (DPsize, DPsub, naive
-    top-down): builds only plans with the first argument on the left,
-    exactly like Figure 1's [dpTable[S1] B dpTable[S2]]; the symmetric
-    candidate arises when the loop visits the swapped pair.  No-op if
-    no edge supports this direction. *)
-
-val applicable_op :
-  (Hypergraph.Hyperedge.t * Hypergraph.Hyperedge.orientation) list ->
-  [ `Inner
-  | `Op of Hypergraph.Hyperedge.t * Hypergraph.Hyperedge.orientation
-  | `Ambiguous ]
-(** Operator resolution: all-inner edges conjoin into a plain join;
-    exactly one non-inner edge dictates operator and orientation; two
-    or more non-inner edges connecting the same pair cannot be
-    combined and the pair is skipped ([`Ambiguous] — does not occur
-    for hypergraphs derived from well-formed operator trees). *)
-
-type pair_info = {
-  edge_ids : int list;
-      (** connecting edges plus pending (covered, unapplied) edges *)
-  sel : float;  (** combined selectivity of all applied predicates *)
-  resolution : [ `Inner | `Op of Hypergraph.Hyperedge.t * Hypergraph.Hyperedge.orientation ];
-  connecting : (Hypergraph.Hyperedge.t * Hypergraph.Hyperedge.orientation) list;
-}
-
-val resolve :
-  Hypergraph.Graph.t -> Plans.Plan.t -> Plans.Plan.t -> pair_info option
-(** Full resolution of a candidate pair: connecting edges, operator
-    recovery, and the pending-predicate rule — a predicate whose
-    relations are all assembled by this join but which no aligned cut
-    ever applied is conjoined here as a filter (plans track applied
-    edges for this purpose); if such a pending edge carries a
-    non-inner operator the decomposition is invalid and [None] is
-    returned.  Shared by the DP emitters, GOO and top-down search. *)
+    top-down): costs only the candidate with the first argument on
+    the left, exactly like Figure 1's [dpTable[S1] B dpTable[S2]]; the
+    symmetric candidate arises when the loop visits the swapped pair.
+    No-op if no edge supports this direction. *)
 
 val candidates :
   model:Costing.Cost_model.t ->
@@ -111,9 +86,41 @@ val candidates :
   Plans.Plan.t ->
   Plans.Plan.t ->
   Plans.Plan.t list
-(** Every valid plan for the (unordered) pair: pair resolution via
-    {!resolve}, dependent switching per Section 5.6, both argument
-    orders for commutative operators.  Empty when no edge connects the
-    pair or every orientation is invalid.  Used by the algorithms that
-    keep their own best-plan state (GOO, top-down search) instead of a
-    DP table. *)
+(** Every valid plan for the (unordered) pair, in emission order —
+    the same core with a table that admits everything.  Empty when no
+    edge connects the pair or every orientation is invalid.  Used by
+    the algorithms that keep their own best-plan state (GOO, top-down
+    search, plan sampling, [Inspect.Why]).  Unlike the emitters it
+    does not count [ccp_emitted]. *)
+
+(** {2 The emission contract}
+
+    All entry points above run one core, once per pair [(S1, S2)]:
+
+    - {b Resolution.}  One pass over the edges incident to the smaller
+      side ({!Hypergraph.Graph.incident_edges}) classifies each edge.
+      Connecting edges (Definition 7) are conjoined.  If exactly one
+      of them is non-inner, its operator and orientation decide the
+      join (Section 5.4); two non-inner ones cannot be combined and
+      reject the pair.  Pending edges are those whose cover lies
+      inside [S1 ∪ S2] but inside neither side.  Their predicates
+      have not been applied below, because a plan over [S] has applied
+      exactly the edges whose cover lies inside [S]; no per-plan state
+      is read.  Pending inner predicates are conjoined here as
+      filters, and a pending non-inner edge rejects the pair.  The cost
+      is O(edges incident to the smaller side), not O(E).
+    - {b Cost first.}  Each valid argument order gets its operator
+      (after the dependent switch of Section 5.6), cardinality and
+      cost as plain floats, and counts one [cost_calls].  Only a
+      candidate within [bound] that the table admits is turned into a
+      {!Plans.Plan.t}.  Losers allocate nothing.  With a provenance
+      hook on the table every candidate is admitted, so the hook's
+      [Rejected] events stay exact.
+    - {b Byte identity.}  Plans equal those of the list-based resolver
+      this core replaced, bit for bit.  This holds because [sel] is
+      the product of the connecting selectivities in ascending edge-id
+      order, multiplied by the product of the pending ones folded in
+      descending id order.  [edge_ids] is the connecting ids ascending
+      followed by the pending ids ascending.  Candidate order is
+      fixed too: the given (or edge-dictated) order first, then the
+      commutative swap. *)

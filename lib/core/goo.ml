@@ -1,11 +1,11 @@
 module Ns = Nodeset.Node_set
 module G = Hypergraph.Graph
+module He = Hypergraph.Hyperedge
 
 (* Greedy: keep a work list of component plans; each round, cost every
    joinable pair and keep the merge with the smallest output
    cardinality.  A dedicated DP table per round is wasteful, so merges
-   are built directly with Plan.join via the Emit operator-resolution
-   rules. *)
+   are built through Emit.candidates. *)
 let solve ?(model = Costing.Cost_model.c_out) ?(counters = Counters.create ())
     g =
   let n = G.num_nodes g in
@@ -54,9 +54,25 @@ let solve ?(model = Costing.Cost_model.c_out) ?(counters = Counters.create ())
             match List.sort (fun a b -> Float.compare a.Plans.Plan.card b.Plans.Plan.card) comps with
             | p1 :: p2 :: rest ->
                 counters.Counters.cost_calls <- counters.Counters.cost_calls + 1;
+                (* Like every join, the cross product applies the inner
+                   edges it is the first to cover, so the plan over the
+                   union has applied exactly the edges inside it. *)
+                let both = Ns.union p1.set p2.set in
+                let pending =
+                  List.filter
+                    (fun (e : He.t) ->
+                      let cover = G.edge_cover g e.id in
+                      e.op.Relalg.Operator.kind = Relalg.Operator.Inner
+                      && Ns.subset cover both
+                      && (not (Ns.subset cover p1.set))
+                      && not (Ns.subset cover p2.set))
+                    (Array.to_list (G.edges g))
+                in
                 let p =
-                  Plans.Plan.join model ~op:Relalg.Operator.join ~edge_ids:[]
-                    ~sel:1.0 p1 p2
+                  Plans.Plan.join model ~op:Relalg.Operator.join
+                    ~edge_ids:(List.map (fun (e : He.t) -> e.id) pending)
+                    ~sel:(List.fold_left (fun s (e : He.t) -> s *. e.sel) 1.0 pending)
+                    p1 p2
                 in
                 components := p :: rest;
                 round ()

@@ -103,7 +103,7 @@ let solve ?obs ?(model = Costing.Cost_model.c_out)
       let leaf =
         match state with
         | None -> fun v -> Plans.Plan.scan g v
-        | Some (_, base) -> fun v -> Plans.Plan.materialized g v base.(v)
+        | Some (_, base) -> fun v -> Plans.Plan.materialized v base.(v)
       in
       let flatten p =
         match state with

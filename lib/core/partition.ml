@@ -129,7 +129,7 @@ let solve ?obs ?(model = Costing.Cost_model.c_out)
         let bcur =
           Ns.fold (fun v acc -> Ns.add (!cur_of).(v) acc) block Ns.empty
         in
-        let leaf v = Plans.Plan.materialized !cur v (!base).(v) in
+        let leaf v = Plans.Plan.materialized v (!base).(v) in
         let solve_block _sp =
           Dphyp.solve_subset ~model ~leaf ~counters ~subset:bcur !cur
         in

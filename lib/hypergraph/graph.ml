@@ -357,12 +357,13 @@ let connects g s1 s2 =
     false
   with Found_edge -> true
 
-let connecting_edges g s1 s2 =
-  let small = if Ns.cardinal s1 <= Ns.cardinal s2 then s1 else s2 in
+(* Gather into [g.edge_buf], deduplicated via stamps and restored to
+   ascending order, the ids of all edges whose cover meets [s]. *)
+let incident_edges g s =
   g.stamp <- g.stamp + 1;
   let st = g.stamp in
   let cnt = ref 0 in
-  let rem = ref small in
+  let rem = ref s in
   while not (Ns.is_empty !rem) do
     let lst = g.edges_by_node.(Ns.min_elt !rem) in
     for i = 0 to Array.length lst - 1 do
@@ -376,8 +377,18 @@ let connecting_edges g s1 s2 =
     rem := Ns.without_min !rem
   done;
   insertion_sort g.edge_buf !cnt;
+  !cnt
+
+let incident_edge g i = g.edge_buf.(i)
+
+(* Any edge connecting s1 and s2 covers nodes on both sides, so it is
+   incident to the smaller side — gather only those. *)
+let connecting_edges g s1 s2 =
+  let cnt =
+    incident_edges g (if Ns.cardinal s1 <= Ns.cardinal s2 then s1 else s2)
+  in
   let acc = ref [] in
-  for i = !cnt - 1 downto 0 do
+  for i = cnt - 1 downto 0 do
     let e = g.edges.(g.edge_buf.(i)) in
     match Hyperedge.orient e s1 s2 with
     | Some o -> acc := (e, o) :: !acc

@@ -105,6 +105,18 @@ val connecting_edges :
 (** All edges connecting the pair, with orientation relative to
     [(s1, s2)] — what EmitCsgCmp conjoins into the join predicate. *)
 
+val incident_edges : t -> Nodeset.Node_set.t -> int
+(** [incident_edges g s] gathers into the scratch arena the ids of all
+    edges whose cover meets [s], in ascending order, and returns their
+    count; read them with {!incident_edge}.  The gathered ids stay
+    valid until the next arena-backed accessor call on [g].  This is
+    the pass {!connecting_edges} makes, exposed so that EmitCsgCmp can
+    classify the same edges without building a list. *)
+
+val incident_edge : t -> int -> int
+(** [incident_edge g i] is the [i]-th id gathered by the last
+    {!incident_edges} call ([0 <= i < count]). *)
+
 val has_hyperedges : t -> bool
 (** Any non-simple edge present? *)
 

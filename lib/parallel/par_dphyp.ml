@@ -160,6 +160,16 @@ let shard_add shard stripes tie (plan : Plan.t) =
             Hashtbl.replace tbl key (plan, tie)));
   Mutex.unlock m
 
+(* Could a candidate of this cost still win?  Only a strictly cheaper
+   incumbent rules it out — an equal cost may win on the tie-break,
+   which [shard_add] settles under the lock.  In flat mode the read is
+   lock-free and may see an older entry; entries only ever get
+   cheaper, so a stale answer errs towards building the plan. *)
+let shard_admits shard stripes s cost =
+  match shard_find shard stripes s with
+  | None -> true
+  | Some (old : Plan.t) -> cost <= old.cost
+
 let shard_iter f = function
   | Sflat { plans; _ } ->
       Array.iter (function Some p -> f p | None -> ()) plans
@@ -257,8 +267,18 @@ let run_parallel ?obs ?tel ~model ?filter ?budget ~pool g =
                       incr b
                     done;
                     let counters = forks.(wid) and gg = gs.(wid) in
-                    let find = shard_find shard stripes in
+                    (* [cur] is the sequence number of the pair being
+                       emitted: the candidate's tie-break rank *)
+                    let cur = ref lo in
+                    let emit =
+                      Core.Emit.make_with ?filter ~model ~counters gg
+                        ~find:(shard_find shard stripes)
+                        ~admits:(shard_admits shard stripes)
+                        ~add:(fun rank plan ->
+                          shard_add shard stripes ((!cur * 2) + rank) plan)
+                    in
                     for seq = lo to hi - 1 do
+                      cur := seq;
                       while offs.(!b + 1) <= seq do
                         incr b
                       done;
@@ -273,10 +293,7 @@ let run_parallel ?obs ?tel ~model ?filter ?budget ~pool g =
                           ( Ns.unsafe_of_int v.buf.(2 * pos),
                             Ns.unsafe_of_int v.buf.((2 * pos) + 1) )
                       in
-                      Core.Emit.emit_pair_with ~find
-                        ~add:(fun rank plan ->
-                          shard_add shard stripes ((seq * 2) + rank) plan)
-                        ?filter ~model ~counters gg s1 s2
+                      Core.Emit.emit_pair emit s1 s2
                     done
                   end)
             end

@@ -181,6 +181,27 @@ let update t (p : Plan.t) =
             false
           end)
 
+(* The cost-first emitter asks this before allocating a candidate.  A
+   hook observes every candidate, rejected ones included, so with one
+   installed everything is admitted. *)
+let admits t s cost =
+  match t.hook with
+  | Some _ -> true
+  | None -> (
+      match t.store with
+      | Flat a -> (
+          match a.(Ns.to_int s) with
+          | None -> true
+          | Some (old : Plan.t) -> cost < old.cost)
+      | Hashed h -> (
+          match Hashtbl.find h (Ns.to_int s) with
+          | (old : Plan.t) -> cost < old.cost
+          | exception Not_found -> true)
+      | Wide h -> (
+          match NsTbl.find h s with
+          | (old : Plan.t) -> cost < old.cost
+          | exception Not_found -> true))
+
 let force t (p : Plan.t) =
   match t.store with
   | Flat a ->

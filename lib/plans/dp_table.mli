@@ -76,6 +76,14 @@ val update : t -> Plan.t -> bool
 (** Keep the plan if no entry exists for its set or it is cheaper;
     returns [true] if the table changed. *)
 
+val admits : t -> Nodeset.Node_set.t -> float -> bool
+(** [admits t s cost]: would {!update} with a plan over [s] costing
+    [cost] change the table or reach a hook?  True when [s] has no
+    entry, when [cost] is strictly lower than the incumbent's, and
+    always while a hook is installed (so a hook still sees every
+    rejected candidate).  Lets callers skip building plans that would
+    be rejected. *)
+
 val force : t -> Plan.t -> unit
 (** Unconditionally install the plan (initialization of leaf plans). *)
 

@@ -1,9 +1,8 @@
 module Ns = Nodeset.Node_set
-module Bs = Nodeset.Bitset
 module G = Hypergraph.Graph
 module He = Hypergraph.Hyperedge
 
-type t = { set : Ns.t; card : float; cost : float; applied : Bs.t; tree : tree }
+type t = { set : Ns.t; card : float; cost : float; tree : tree }
 
 and tree = Scan of int | Join of join | Compound of compound
 
@@ -18,38 +17,33 @@ and join = {
 and compound = { node : int; sub : t }
 
 let scan g i =
-  {
-    set = Ns.singleton i;
-    card = G.cardinality g i;
-    cost = 0.0;
-    applied = Bs.create (G.num_edges g);
-    tree = Scan i;
-  }
+  { set = Ns.singleton i; card = G.cardinality g i; cost = 0.0; tree = Scan i }
 
-let materialized g i sub =
+let materialized i sub =
   {
     set = Ns.singleton i;
     card = sub.card;
     cost = sub.cost;
-    applied = Bs.create (G.num_edges g);
     tree = Compound { node = i; sub };
   }
 
-let join (model : Costing.Cost_model.t) ~op ~edge_ids ~sel left right =
-  let card = Costing.Cardinality.estimate op left.card right.card sel in
-  let cost =
-    left.cost +. right.cost
-    +. model.op_cost op ~left_card:left.card ~right_card:right.card
-         ~out_card:card
-  in
-  let applied = Bs.union_add_all edge_ids left.applied right.applied in
+let[@inline] join_cost (model : Costing.Cost_model.t) ~op left right ~card =
+  left.cost +. right.cost
+  +. model.op_cost op ~left_card:left.card ~right_card:right.card
+       ~out_card:card
+
+let join_of ~op ~edge_ids ~sel ~card ~cost left right =
   {
     set = Ns.union left.set right.set;
     card;
     cost;
-    applied;
     tree = Join { op; edge_ids; sel; left; right };
   }
+
+let join model ~op ~edge_ids ~sel left right =
+  let card = Costing.Cardinality.estimate op left.card right.card sel in
+  let cost = join_cost model ~op left right ~card in
+  join_of ~op ~edge_ids ~sel ~card ~cost left right
 
 let rec num_joins p =
   match p.tree with

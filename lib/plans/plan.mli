@@ -5,16 +5,15 @@
     cost model active during optimization.  Join nodes remember which
     hyperedges they applied so that the original predicates (and the
     operator, per Section 5.4's "associate with each hyperedge the
-    operator from which it was derived") can be recovered. *)
+    operator from which it was derived") can be recovered.  Which
+    edges a whole plan has applied is derived state: a plan over [S]
+    built by [Core.Emit] has applied exactly the edges whose cover
+    lies inside [S], so plans store no applied-edge set. *)
 
 type t = {
   set : Nodeset.Node_set.t;  (** relations covered *)
   card : float;  (** estimated output cardinality *)
   cost : float;  (** total cost including subplans *)
-  applied : Nodeset.Bitset.t;
-      (** hyperedge ids whose predicates this plan has applied — the
-          enumerators use it to apply covered-but-unaligned predicates
-          as filters at the first opportunity (see Emit) *)
   tree : tree;
 }
 
@@ -53,11 +52,12 @@ and compound = {
 val scan : Hypergraph.Graph.t -> int -> t
 (** Plan for a single relation: cost 0, cardinality from catalog. *)
 
-val materialized : Hypergraph.Graph.t -> int -> t -> t
-(** [materialized g i sub] — a leaf of [g] at node [i] standing for
-    the already-optimized plan [sub] (over a finer graph).
-    Cardinality and cost are taken from [sub], so enumeration on [g]
-    accounts for the work already committed inside the block. *)
+val materialized : int -> t -> t
+(** [materialized i sub] — a leaf at node [i] of a coarser graph
+    standing for the already-optimized plan [sub] (over a finer
+    graph).  Cardinality and cost are taken from [sub], so enumeration
+    on the coarse graph accounts for the work already committed inside
+    the block. *)
 
 val join :
   Costing.Cost_model.t ->
@@ -67,6 +67,24 @@ val join :
   t -> t -> t
 (** [join model ~op ~edge_ids ~sel l r] — a join node with estimated
     cardinality and cost filled in. *)
+
+val join_cost :
+  Costing.Cost_model.t -> op:Relalg.Operator.t -> t -> t -> card:float -> float
+(** The cost {!join} gives a node over [l] and [r] producing [card]
+    rows: both inputs' costs plus the model's operator cost. *)
+
+val join_of :
+  op:Relalg.Operator.t ->
+  edge_ids:int list ->
+  sel:float ->
+  card:float ->
+  cost:float ->
+  t -> t -> t
+(** {!join} with cardinality and cost already computed — by
+    [Cardinality.estimate] and {!join_cost}, which is what lets the
+    emitter compare a candidate's cost with the table before
+    allocating it.  Passing other figures makes an inconsistent
+    plan. *)
 
 val num_joins : t -> int
 

@@ -523,6 +523,28 @@ let test_goo_valid_but_suboptimal () =
       | _ -> Alcotest.failf "%s: missing plan" name)
     (graphs_under_test ())
 
+let test_goo_cross_product_applies_covered_edges () =
+  (* No pair of components is joinable once R2-R3 is merged: the
+     hyperedge ({R0},{R1,R2}) never connects two of them.  GOO falls
+     back to cross products, and the one that first covers the
+     hyperedge must apply it — later joins treat it as applied. *)
+  let g =
+    G.make
+      [|
+        G.base_rel ~card:10.0 "R0";
+        G.base_rel ~card:20.0 "R1";
+        G.base_rel ~card:3000.0 "R2";
+        G.base_rel ~card:4000.0 "R3";
+      |]
+      [| He.simple ~sel:0.01 ~id:0 2 3; He.make ~sel:0.5 ~id:1 (ns [ 0 ]) (ns [ 1; 2 ]) |]
+  in
+  match Core.Goo.solve g with
+  | None -> Alcotest.fail "goo always answers"
+  | Some p ->
+      Alcotest.(check (list string))
+        "plan check" []
+        (List.map Plans.Plan_check.issue_to_string (Plans.Plan_check.check g p))
+
 let test_goo_strictly_worse_somewhere () =
   (* greedy must actually lose on at least one of these graphs,
      otherwise the benchmark X4 is vacuous *)
@@ -592,18 +614,42 @@ let test_dependent_no_valid_orientation () =
   in
   check "cyclic dependence has no plan" true ((Opt.run Opt.Dphyp g).plan = None)
 
-(* ---------- Emit.applicable_op ---------- *)
+(* ---------- Emit operator resolution ---------- *)
 
 let test_applicable_op () =
-  let e ?(op = Relalg.Operator.join) id = (He.make ~op ~id (ns [ 0 ]) (ns [ 1 ]), He.Forward) in
-  check "all inner" true (Core.Emit.applicable_op [ e 0; e 1 ] = `Inner);
-  (match Core.Emit.applicable_op [ e 0; e ~op:Relalg.Operator.left_outer 1 ] with
-  | `Op (edge, He.Forward) -> check_int "the louter edge" 1 edge.He.id
-  | _ -> Alcotest.fail "expected single non-inner op");
+  (* two relations joined by two parallel edges: all inner conjoin into
+     a plain join costed both ways; one non-inner edge dictates the
+     operator and its argument order; two non-inner edges are
+     ambiguous and yield nothing *)
+  let pair ops =
+    let g =
+      G.make
+        (Array.init 2 (fun i -> G.base_rel (Printf.sprintf "R%d" i)))
+        (Array.of_list
+           (List.mapi
+              (fun id (op, forward) ->
+                if forward then He.make ~op ~id (ns [ 0 ]) (ns [ 1 ])
+                else He.make ~op ~id (ns [ 1 ]) (ns [ 0 ]))
+              ops))
+    in
+    Core.Emit.candidates ~model:Costing.Cost_model.c_out
+      ~counters:(Core.Counters.create ()) g (Plans.Plan.scan g 0)
+      (Plans.Plan.scan g 1)
+  in
+  let shape (p : Plans.Plan.t) =
+    match p.tree with
+    | Plans.Plan.Join j -> (j.op, Ns.to_list j.left.set, j.edge_ids)
+    | _ -> Alcotest.fail "expected a join"
+  in
+  let join = Relalg.Operator.join and louter = Relalg.Operator.left_outer in
+  check "all inner" true
+    (List.map shape (pair [ (join, true); (join, true) ])
+    = [ (join, [ 0 ], [ 0; 1 ]); (join, [ 1 ], [ 0; 1 ]) ]);
+  check "the louter edge decides" true
+    (List.map shape (pair [ (join, true); (louter, false) ])
+    = [ (louter, [ 1 ], [ 0; 1 ]) ]);
   check "two non-inner ambiguous" true
-    (Core.Emit.applicable_op
-       [ e ~op:Relalg.Operator.left_outer 0; e ~op:Relalg.Operator.left_anti 1 ]
-    = `Ambiguous)
+    (pair [ (louter, true); (Relalg.Operator.left_anti, true) ] = [])
 
 (* ---------- properties over random graphs ---------- *)
 
@@ -690,8 +736,17 @@ let derived_graphs () =
          Conflicts.Derive.hypergraph
            (Conflicts.Analysis.analyze ~conservative:true tree))
 
-(* The edges a plan has applied, as the plan itself records them. *)
-let applied_of (p : Plans.Plan.t) = Nodeset.Bitset.to_list p.applied
+(* The edges a plan has applied, recomputed by walking its tree: the
+   edge ids of every join node, duplicates kept (a compound leaf's
+   sub-plan lives over a finer graph and applied nothing of this
+   one). *)
+let applied_of (p : Plans.Plan.t) =
+  let rec go acc (p : Plans.Plan.t) =
+    match p.tree with
+    | Plans.Plan.Scan _ | Plans.Plan.Compound _ -> acc
+    | Plans.Plan.Join j -> go (go (j.edge_ids @ acc) j.left) j.right
+  in
+  List.sort compare (go [] p)
 
 (* The derived set: every edge whose relations the plan covers. *)
 let covered_edges g (p : Plans.Plan.t) =
@@ -754,6 +809,167 @@ let test_applied_derived_noninner () =
     (fun i g ->
       check (Printf.sprintf "derived graph %d" i) true (applied_derived_everywhere g))
     (derived_graphs ())
+
+(* ---------- emission core vs. the list-based reference ---------- *)
+
+(* The resolver the emission core replaced, kept as a naive
+   reference: connecting edges as a list, an O(E) scan for pending
+   edges against the applied sets recomputed from the plan trees, and
+   every valid argument order built with [Plan.join]. *)
+let reference_candidates ~model g (p1 : Plans.Plan.t) (p2 : Plans.Plan.t) =
+  let module Op = Relalg.Operator in
+  match G.connecting_edges g p1.set p2.set with
+  | [] -> []
+  | connecting -> (
+      let both = Ns.union p1.set p2.set in
+      let a1 = applied_of p1 and a2 = applied_of p2 in
+      let pending = ref [] in
+      for i = 0 to G.num_edges g - 1 do
+        if
+          Ns.subset (G.edge_cover g i) both
+          && (not (List.mem i a1))
+          && (not (List.mem i a2))
+          && not (List.exists (fun ((c : He.t), _) -> c.id = i) connecting)
+        then pending := G.edge g i :: !pending
+      done;
+      let pending = !pending in
+      let non_inner =
+        List.filter (fun ((e : He.t), _) -> e.op.Op.kind <> Op.Inner) connecting
+      in
+      if List.exists (fun (e : He.t) -> e.op.Op.kind <> Op.Inner) pending then []
+      else
+        let sel =
+          Costing.Cardinality.selectivity_product connecting
+          *. List.fold_left (fun s (e : He.t) -> s *. e.sel) 1.0 pending
+        in
+        let edge_ids =
+          List.map (fun ((e : He.t), _) -> e.id) connecting
+          @ List.rev_map (fun (e : He.t) -> e.id) pending
+        in
+        let build op (l : Plans.Plan.t) (r : Plans.Plan.t) =
+          let out (p : Plans.Plan.t) = Ns.diff (G.free_of g p.set) p.set in
+          if Ns.intersects (out l) r.set then None
+          else if Ns.intersects (out r) l.set then
+            if op.Op.kind = Op.Full_outer then None
+            else Some (Plans.Plan.join model ~op:(Op.to_dependent op) ~edge_ids ~sel l r)
+          else Some (Plans.Plan.join model ~op ~edge_ids ~sel l r)
+        in
+        match non_inner with
+        | [] -> List.filter_map Fun.id [ build Op.join p1 p2; build Op.join p2 p1 ]
+        | [ (e, o) ] ->
+            let l, r = if o = He.Forward then (p1, p2) else (p2, p1) in
+            List.filter_map Fun.id
+              (build e.op l r
+              :: (if Op.commutative e.op then [ build e.op r l ] else []))
+        | _ :: _ :: _ -> [])
+
+(* Bit-level plan identity: operators (dependent switch included),
+   sets, edge ids, and the IEEE bits of sel, card and cost. *)
+let rec same_bits (a : Plans.Plan.t) (b : Plans.Plan.t) =
+  let bits = Int64.bits_of_float in
+  Ns.equal a.set b.set
+  && bits a.card = bits b.card
+  && bits a.cost = bits b.cost
+  &&
+  match a.tree, b.tree with
+  | Plans.Plan.Scan i, Plans.Plan.Scan k -> i = k
+  | Plans.Plan.Join x, Plans.Plan.Join y ->
+      Relalg.Operator.equal x.op y.op
+      && x.edge_ids = y.edge_ids
+      && bits x.sel = bits y.sel
+      && same_bits x.left y.left && same_bits x.right y.right
+  | _ -> false
+
+(* Every ordered pair of disjoint DP entries — csg-cmp-pairs and
+   unconnected pairs alike — yields the same candidates from both. *)
+let candidates_agree g =
+  let model = Costing.Cost_model.c_mm in
+  let dp, _ = Core.Dphyp.solve_with_table g in
+  let plans = ref [] in
+  Plans.Dp_table.iter (fun p -> plans := p :: !plans) dp;
+  List.for_all
+    (fun (p1 : Plans.Plan.t) ->
+      List.for_all
+        (fun (p2 : Plans.Plan.t) ->
+          (not (Ns.disjoint p1.set p2.set))
+          ||
+          let got =
+            Core.Emit.candidates ~model ~counters:(Core.Counters.create ()) g p1 p2
+          in
+          let want = reference_candidates ~model g p1 p2 in
+          List.length got = List.length want && List.for_all2 same_bits got want)
+        !plans)
+    !plans
+
+(* Replaying DPhyp's pairs through the reference into a plain table
+   (every candidate built, [Dp_table.update] deciding) gives the same
+   table as the cost-first core, with and without a bound. *)
+let tables_agree ?bound g =
+  let model = Costing.Cost_model.c_out in
+  let dp, _ = Core.Dphyp.solve_with_table ?bound g in
+  let ref_dp = Plans.Dp_table.create_for g in
+  for v = 0 to G.num_nodes g - 1 do
+    Plans.Dp_table.force ref_dp (Plans.Plan.scan g v)
+  done;
+  let within = Option.value bound ~default:infinity in
+  List.iter
+    (fun (s1, s2) ->
+      match Plans.Dp_table.find ref_dp s1, Plans.Dp_table.find ref_dp s2 with
+      | Some p1, Some p2 ->
+          List.iter
+            (fun (p : Plans.Plan.t) ->
+              if p.cost <= within then ignore (Plans.Dp_table.update ref_dp p))
+            (reference_candidates ~model g p1 p2)
+      | _ -> ())
+    (Core.Dphyp.enumerate_ccps g);
+  let same = ref (Plans.Dp_table.size dp = Plans.Dp_table.size ref_dp) in
+  Plans.Dp_table.iter
+    (fun (p : Plans.Plan.t) ->
+      match Plans.Dp_table.find ref_dp p.set with
+      | Some q when same_bits p q -> ()
+      | _ -> same := false)
+    dp;
+  !same
+
+let emission_agrees g =
+  candidates_agree g && tables_agree g
+  &&
+  match Core.Dphyp.solve g with
+  | Some best -> tables_agree ~bound:best.cost g
+  | None -> true
+
+let prop_emission_matches_reference =
+  QCheck.Test.make ~name:"emission core = list-based reference on random hypergraphs"
+    ~count:60
+    QCheck.(int_bound 10_000)
+    (fun seed -> emission_agrees (rich_graph seed))
+
+let test_emission_reference_derived () =
+  List.iteri
+    (fun i g -> check (Printf.sprintf "derived graph %d" i) true (emission_agrees g))
+    (derived_graphs ())
+
+(* Minor words are deterministic for fixed code, so this gate is exact:
+   it catches allocation creeping back into the emitter.  Before the
+   cost-first core these graphs took 127, 142, 394 and 148 words per
+   csg-cmp-pair. *)
+let test_emission_allocation () =
+  List.iter
+    (fun (name, g) ->
+      let counters = Core.Counters.create () in
+      let w0 = Gc.minor_words () in
+      ignore (Core.Dphyp.solve ~counters g);
+      let words = Gc.minor_words () -. w0 in
+      let per_ccp = words /. float_of_int counters.Core.Counters.ccp_emitted in
+      if per_ccp > 80.0 then
+        Alcotest.failf "%s: %.1f minor words per csg-cmp-pair (limit 80)" name
+          per_ccp)
+    [
+      ("star16-s0", List.hd (Workloads.Splits.star_based 16));
+      ("cycle16-s0", List.hd (Workloads.Splits.cycle_based 16));
+      ("clique-12", Workloads.Shapes.clique 12);
+      ("chain-30", Workloads.Shapes.chain 30);
+    ]
 
 (* ---------- indexed enumeration vs. naive reference ---------- *)
 
@@ -943,6 +1159,8 @@ let () =
         [
           Alcotest.test_case "valid but suboptimal" `Quick
             test_goo_valid_but_suboptimal;
+          Alcotest.test_case "cross products apply covered edges" `Quick
+            test_goo_cross_product_applies_covered_edges;
           Alcotest.test_case "strictly worse somewhere" `Quick
             test_goo_strictly_worse_somewhere;
         ] );
@@ -966,5 +1184,13 @@ let () =
           q prop_applied_is_derived;
           Alcotest.test_case "non-inner derived graphs" `Quick
             test_applied_derived_noninner;
+        ] );
+      ( "emit-reference",
+        [
+          q prop_emission_matches_reference;
+          Alcotest.test_case "non-inner derived graphs" `Quick
+            test_emission_reference_derived;
+          Alcotest.test_case "allocation per csg-cmp-pair" `Quick
+            test_emission_allocation;
         ] );
     ]

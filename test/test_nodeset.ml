@@ -1,8 +1,7 @@
-(* Unit and property tests for Node_set, Subset_enum and Bitset. *)
+(* Unit and property tests for Node_set and Subset_enum. *)
 
 module Ns = Nodeset.Node_set
 module Se = Nodeset.Subset_enum
-module Bs = Nodeset.Bitset
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -294,78 +293,6 @@ let prop_lattice_wide_oracle =
          |> List.sort compare
          = List.init (List.length round) (fun i -> i))
 
-(* ---------- Bitset ---------- *)
-
-let test_bitset_basics () =
-  let b = Bs.add 100 (Bs.add 3 (Bs.create 200)) in
-  check "mem 100" true (Bs.mem 100 b);
-  check "mem 99" false (Bs.mem 99 b);
-  check_int "cardinal" 2 (Bs.cardinal b);
-  check_list "to_list" [ 3; 100 ] (Bs.to_list b);
-  check "remove" false (Bs.mem 3 (Bs.remove 3 b));
-  check "empty" true (Bs.is_empty (Bs.create 64))
-
-let test_bitset_bounds () =
-  Alcotest.check_raises "out of range"
-    (Invalid_argument "Bitset: index 10 out of range [0,10)") (fun () ->
-      ignore (Bs.mem 10 (Bs.create 10)));
-  Alcotest.check_raises "width mismatch"
-    (Invalid_argument "Bitset: width mismatch") (fun () ->
-      ignore (Bs.union (Bs.create 10) (Bs.create 11)))
-
-let test_bitset_algebra () =
-  let a = Bs.of_list 128 [ 0; 64; 127 ] and b = Bs.of_list 128 [ 64; 100 ] in
-  check_list "union" [ 0; 64; 100; 127 ] (Bs.to_list (Bs.union a b));
-  check_list "inter" [ 64 ] (Bs.to_list (Bs.inter a b));
-  check_list "diff" [ 0; 127 ] (Bs.to_list (Bs.diff a b));
-  check "subset" true (Bs.subset (Bs.of_list 128 [ 64 ]) a);
-  check "disjoint" false (Bs.disjoint a b);
-  check_int "full" 128 (Bs.cardinal (Bs.full 128));
-  check_list "complement of full minus" [ 64; 100 ]
-    (Bs.to_list (Bs.complement (Bs.complement b)))
-
-let test_bitset_min_elt () =
-  check "min_elt_opt empty" true (Bs.min_elt_opt (Bs.create 40) = None);
-  check_int "min across words" 33 (Bs.min_elt (Bs.of_list 100 [ 95; 33 ]));
-  check_int "min in high word" 95 (Bs.min_elt (Bs.of_list 100 [ 95 ]));
-  Alcotest.check_raises "min_elt empty"
-    (Invalid_argument "Bitset.min_elt: empty set") (fun () ->
-      ignore (Bs.min_elt (Bs.create 8)))
-
-let prop_bitset_model =
-  QCheck.Test.make ~name:"bitset union/inter/diff vs list model" ~count:300
-    QCheck.(pair (small_list (int_bound 90)) (small_list (int_bound 90)))
-    (fun (la, lb) ->
-      let a = Bs.of_list 91 la and b = Bs.of_list 91 lb in
-      let sa = List.sort_uniq compare la and sb = List.sort_uniq compare lb in
-      Bs.to_list (Bs.union a b) = List.sort_uniq compare (sa @ sb)
-      && Bs.to_list (Bs.inter a b) = List.filter (fun v -> List.mem v sb) sa
-      && Bs.to_list (Bs.diff a b)
-         = List.filter (fun v -> not (List.mem v sb)) sa)
-
-(* Model-based check at random widths 1-300, so multi-word layouts and
-   word boundaries are exercised, including min_elt/popcount/fold. *)
-let prop_bitset_model_wide =
-  QCheck.Test.make ~name:"bitset vs sorted-list model, widths 1-300"
-    ~count:300
-    QCheck.(
-      triple (int_range 1 300)
-        (small_list (int_bound 299))
-        (small_list (int_bound 299)))
-    (fun (w, la, lb) ->
-      let la = List.map (fun i -> i mod w) la
-      and lb = List.map (fun i -> i mod w) lb in
-      let a = Bs.of_list w la and b = Bs.of_list w lb in
-      let sa = List.sort_uniq compare la and sb = List.sort_uniq compare lb in
-      let model_min = function [] -> None | x :: _ -> Some x in
-      Bs.to_list (Bs.union a b) = List.sort_uniq compare (sa @ sb)
-      && Bs.to_list (Bs.inter a b) = List.filter (fun v -> List.mem v sb) sa
-      && Bs.to_list (Bs.diff a b)
-         = List.filter (fun v -> not (List.mem v sb)) sa
-      && Bs.cardinal a = List.length sa
-      && Bs.min_elt_opt a = model_min sa
-      && Bs.fold (fun i acc -> i + acc) a 0 = List.fold_left ( + ) 0 sa)
-
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "nodeset"
@@ -408,14 +335,5 @@ let () =
           Alcotest.test_case "sparse" `Quick test_lattice_sparse;
           Alcotest.test_case "rank_iter" `Quick test_lattice_rank_iter;
           q prop_lattice_wide_oracle;
-        ] );
-      ( "bitset",
-        [
-          Alcotest.test_case "basics" `Quick test_bitset_basics;
-          Alcotest.test_case "bounds" `Quick test_bitset_bounds;
-          Alcotest.test_case "algebra" `Quick test_bitset_algebra;
-          Alcotest.test_case "min_elt" `Quick test_bitset_min_elt;
-          q prop_bitset_model;
-          q prop_bitset_model_wide;
         ] );
     ]

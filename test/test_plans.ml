@@ -160,12 +160,28 @@ let test_plan_check_catches_duplicate_edge () =
        issues)
 
 let test_plan_check_applied_tracking () =
+  (* A plan over S has applied exactly the edges whose cover lies
+     inside S.  Plans store no applied set; Plan_check's edge
+     accounting is what enforces the property. *)
   let g = graph3 () in
-  let a = P.scan g 0 and b = P.scan g 1 in
+  let a = P.scan g 0 and b = P.scan g 1 and c = P.scan g 2 in
+  let issues p = List.map Plans.Plan_check.issue_to_string (Plans.Plan_check.check g p) in
   let j = P.join Costing.Cost_model.c_out ~op:Relalg.Operator.join ~edge_ids:[ 0 ] ~sel:0.1 a b in
-  check "applied bit set" true (Nodeset.Bitset.mem 0 j.P.applied);
-  check "other bit clear" false (Nodeset.Bitset.mem 1 j.P.applied);
-  check "scan applies nothing" true (Nodeset.Bitset.is_empty a.P.applied)
+  Alcotest.(check (list string)) "covered edge applied once" [] (issues j);
+  Alcotest.(check (list string)) "scan applies nothing" [] (issues a);
+  Alcotest.(check (list string)) "covered edge left out" [ "edge never applied: e0" ]
+    (issues
+       (P.join Costing.Cost_model.c_out ~op:Relalg.Operator.join ~edge_ids:[] ~sel:1.0 a b));
+  (* the emitter derives what is already applied from the sides' sets:
+     joining C applies only the edge that join newly covers *)
+  List.iter
+    (fun (p : P.t) ->
+      Alcotest.(check (list string)) "emitted plan valid" [] (issues p);
+      match p.P.tree with
+      | P.Join x -> Alcotest.(check (list int)) "only e1 applied" [ 1 ] x.P.edge_ids
+      | _ -> Alcotest.fail "expected a join")
+    (Core.Emit.candidates ~model:Costing.Cost_model.c_out
+       ~counters:(Core.Counters.create ()) g j c)
 
 let test_pp () =
   let g = graph3 () in
