@@ -1179,13 +1179,13 @@ let () =
         ] );
       ("emit", [ Alcotest.test_case "applicable_op" `Quick test_applicable_op ]);
       ("properties", [ q prop_random_agreement; q prop_random_emission ]);
-      ( "applied-derived",
+      ( "applied",
         [
           q prop_applied_is_derived;
           Alcotest.test_case "non-inner derived graphs" `Quick
             test_applied_derived_noninner;
         ] );
-      ( "emit-reference",
+      ( "emit-ref",
         [
           q prop_emission_matches_reference;
           Alcotest.test_case "non-inner derived graphs" `Quick
