@@ -39,16 +39,17 @@ type record = {
 }
 
 (* The always-on serving overhead, paid inside the measured closure:
-   the same per-request work Driver.Pipeline's [?tel] path does after
-   each optimization — fingerprint the graph, record the wall clock
-   into the latency histogram, push a flat record (with allocation
-   deltas) into the flight recorder. *)
+   the same per-request work Driver.Pipeline's [?tel] path does around
+   each optimization — read this domain's allocation counters,
+   fingerprint the graph, record the wall clock into the latency
+   histogram, push a flat record (with allocation deltas) into the
+   flight recorder. *)
 let instrumented tel g () =
-  let gc0 = Gc.quick_stat () in
+  let minor0 = Gc.minor_words () in
+  let major0 = (Gc.quick_stat ()).Gc.major_words in
   let t0 = Obs.Span.now () in
   let r = Opt.run Opt.Dphyp g in
   let wall = Obs.Span.now () -. t0 in
-  let gc1 = Gc.quick_stat () in
   Obs.Export.observe_s tel
     ~labels:[ ("algo", "dphyp"); ("cache", "none"); ("result", "ok") ]
     "joinopt_optimize_latency_seconds" wall;
@@ -58,8 +59,8 @@ let instrumented tel g () =
     ~relations:(G.num_nodes g) ~algo:"dphyp"
     ~pairs:r.Opt.counters.Core.Counters.pairs_considered
     ~wall_s:wall
-    ~minor_words:(gc1.Gc.minor_words -. gc0.Gc.minor_words)
-    ~major_words:(gc1.Gc.major_words -. gc0.Gc.major_words)
+    ~minor_words:(Gc.minor_words () -. minor0)
+    ~major_words:((Gc.quick_stat ()).Gc.major_words -. major0)
     ();
   r
 

@@ -115,22 +115,31 @@ let trace_out_arg =
   Arg.(value & opt (some string) None
        & info [ "trace-out" ] ~docv:"FILE" ~doc)
 
+let fail msg =
+  Format.eprintf "error: %s@." msg;
+  1
+
+let exit_code = function Ok code -> code | Error msg -> fail msg
+
+let ( let* ) = Result.bind
+
 (* One collector per observed run; [obs_ctx] decides whether the run
-   is observed at all, [report_obs] renders the table / trace file. *)
+   is observed at all, [write_trace] writes its span trace file and
+   [report_obs] adds the per-phase table of the request's profile. *)
 let obs_ctx profile trace_out =
   if profile || trace_out <> None then Some (Obs.Span.create ()) else None
 
-let report_obs obs profile trace_out (r : Core.Optimizer.result) =
-  match obs with
+let write_trace ctx = function
+  | Some path ->
+      Obs.Sink.write_chrome path (Obs.Span.spans ctx);
+      Format.printf "span trace written to %s (open in Perfetto)@." path
   | None -> ()
-  | Some ctx ->
-      let p = Core.Optimizer.profile ctx r in
-      (match trace_out with
-      | Some path ->
-          Obs.Sink.write_chrome path (Obs.Span.spans ctx);
-          Format.printf "span trace written to %s (open in Perfetto)@." path
-      | None -> ());
-      if profile then Format.printf "@.%a" Obs.Metrics.pp_table p
+
+let report_obs obs profile trace_out (r : Driver.Pipeline.result) =
+  Option.iter (fun ctx -> write_trace ctx trace_out) obs;
+  match r.profile with
+  | Some p when profile -> Format.printf "@.%a" Obs.Metrics.pp_table p
+  | _ -> ()
 
 let shape_arg =
   let doc =
@@ -171,21 +180,18 @@ let graph_of_shape shape n splits =
                (Workloads.Splits.num_splits fam)))
   | s -> Error (Printf.sprintf "unknown shape %S" s)
 
-let report_result ?(stable = false) g (r : Core.Optimizer.result) elapsed =
-  (match r.plan with
-  | Some p ->
-      Format.printf "plan: %a@.cost: %.4g   est. cardinality: %.4g@."
-        Plans.Plan.pp p p.cost p.card;
-      Format.printf "@[<v>%a@]" (Plans.Plan.pp_verbose g) p;
-      (match Plans.Plan_check.check g p with
-      | [] -> Format.printf "plan check: ok@."
-      | issues ->
-          Format.printf "plan check: %d issue(s)@." (List.length issues);
-          List.iter
-            (fun i ->
-              Format.printf "  %s@." (Plans.Plan_check.issue_to_string i))
-            issues)
-  | None -> Format.printf "no plan found@.");
+let report_result ?(stable = false) (r : Driver.Pipeline.result) elapsed =
+  let p = r.plan and g = r.graph in
+  Format.printf "plan: %a@.cost: %.4g   est. cardinality: %.4g@."
+    Plans.Plan.pp p p.cost p.card;
+  Format.printf "@[<v>%a@]" (Plans.Plan.pp_verbose g) p;
+  (match Plans.Plan_check.check g p with
+  | [] -> Format.printf "plan check: ok@."
+  | issues ->
+      Format.printf "plan check: %d issue(s)@." (List.length issues);
+      List.iter
+        (fun i -> Format.printf "  %s@." (Plans.Plan_check.issue_to_string i))
+        issues);
   (match r.tier with
   | Some t -> Format.printf "tier: %s@." (Core.Adaptive.tier_name t)
   | None -> ());
@@ -195,41 +201,26 @@ let report_result ?(stable = false) g (r : Core.Optimizer.result) elapsed =
     Format.printf "dp entries: %d   time: %.3f ms@." r.dp_entries
       (elapsed *. 1000.0)
 
+(* One request through Driver.Pipeline, with the wall clock of the
+   whole request. *)
 let timed f =
   let t0 = Unix.gettimeofday () in
-  let r = f () in
-  (r, Unix.gettimeofday () -. t0)
+  Result.map (fun r -> (r, Unix.gettimeofday () -. t0)) (f ())
 
-(* [--jobs N] with N > 1 routes DPhyp through the parallel enumerator
-   on a fresh N-domain pool; any other algorithm refuses (there is no
-   parallel decomposition to fall back on). *)
-let run_algo ?obs ~model ?budget ~k ?dpconv_objective ~jobs algo g =
-  if jobs <= 1 then
-    Core.Optimizer.run ?obs ~model ?budget ~k ?dpconv_objective algo g
-  else if algo <> Core.Optimizer.Dphyp then
-    invalid_arg
-      (Printf.sprintf "--jobs %d requires --algo dphyp (got %s)" jobs
-         (Core.Optimizer.name algo))
-  else
-    Parallel.Pool.with_pool ~jobs (fun pool ->
-        Parallel.Par_dphyp.run ?obs ~model ?budget ~pool g)
-
-(* Non-adaptive algorithms let Budget_exhausted escape; turn it into a
-   CLI error instead of a backtrace. *)
-let timed_run ?obs ~model ?budget ~k ?dpconv_objective ?(jobs = 1) algo g =
-  match
-    timed (fun () ->
-        run_algo ?obs ~model ?budget ~k ?dpconv_objective ~jobs algo g)
-  with
-  | r -> Ok r
-  | exception Core.Counters.Budget_exhausted ->
-      Error
-        (Printf.sprintf
-           "budget of %d pairs exhausted by %s (try --algo adaptive for \
-            graceful degradation)"
-           (Option.value ~default:0 budget)
-           (Core.Optimizer.name algo))
-  | exception Invalid_argument msg -> Error msg
+(* Optimize a graph and print the result, the profile table and the
+   span trace — what shape, graph and tpch report. *)
+let optimize_and_report ?stable ~profile ~trace_out ~algo ~model ?budget ~k
+    ?dpconv_objective ~jobs g =
+  let obs = obs_ctx profile trace_out in
+  exit_code
+    (let* r, elapsed =
+       timed (fun () ->
+           Driver.Pipeline.optimize_graph ?obs ~algo ~model ?budget ~k
+             ?dpconv_objective ~jobs g)
+     in
+     report_result ?stable r elapsed;
+     report_obs obs profile trace_out r;
+     Ok 0)
 
 (* ------------------------------------------------------------------ *)
 (* optimize: SQL pipeline                                              *)
@@ -251,33 +242,30 @@ let read_sql s =
 let optimize_cmd =
   let run sql algo model budget k dpconv_objective jobs conservative verbose
       dot_plan profile trace_out =
-    match Sqlfront.Binder.parse_and_bind (read_sql sql) with
-    | Error msg ->
-        Format.eprintf "error: %s@." msg;
-        1
-    | Ok bound -> (
-        let tree = Conflicts.Simplify.simplify bound.tree in
-        Format.printf "initial operator tree:@.%a@." Relalg.Optree.pp tree;
-        let analysis = Conflicts.Analysis.analyze ~conservative tree in
-        if verbose then Format.printf "%a@." Conflicts.Analysis.pp analysis;
-        let g = Conflicts.Derive.hypergraph analysis in
-        if verbose then Format.printf "%a@." G.pp g;
-        let obs = obs_ctx profile trace_out in
-        match
-          timed_run ?obs ~model ?budget ~k ~dpconv_objective ~jobs algo g
-        with
-        | Error msg ->
-            Format.eprintf "error: %s@." msg;
-            1
-        | Ok (r, elapsed) ->
-            report_result g r elapsed;
-            report_obs obs profile trace_out r;
-            (match dot_plan, r.Core.Optimizer.plan with
-            | Some path, Some p ->
-                Plans.Plan_dot.write_file path g p;
-                Format.printf "plan graph written to %s@." path
-            | _ -> ());
-            0)
+    let obs = obs_ctx profile trace_out in
+    let mode =
+      if conservative then Driver.Pipeline.Tes_conservative
+      else Driver.Pipeline.Tes_literal
+    in
+    exit_code
+      (let* r, elapsed =
+         timed (fun () ->
+             Driver.Pipeline.optimize_sql ?obs ~mode ~algo ~model ?budget ~k
+               ~dpconv_objective ~jobs (read_sql sql))
+       in
+       Format.printf "initial operator tree:@.%a@." Relalg.Optree.pp r.tree;
+       if verbose then
+         Format.printf "%a@.%a@." Conflicts.Analysis.pp
+           (Conflicts.Analysis.analyze ~conservative r.tree)
+           G.pp r.graph;
+       report_result r elapsed;
+       report_obs obs profile trace_out r;
+       Option.iter
+         (fun path ->
+           Plans.Plan_dot.write_file path r.graph r.plan;
+           Format.printf "plan graph written to %s@." path)
+         dot_plan;
+       Ok 0)
   in
   let verbose =
     Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Print analysis and graph.")
@@ -309,43 +297,27 @@ let explain_cmd =
     let report ctx (r : Driver.Pipeline.result) =
       Format.printf "plan: %a@.cost: %.4g   est. cardinality: %.4g@.@."
         Plans.Plan.pp r.plan r.plan.cost r.plan.card;
-      (match r.profile with
-      | Some p -> Format.printf "%a" Obs.Metrics.pp_table p
-      | None -> ());
-      (match trace_out with
-      | Some path ->
-          Obs.Sink.write_chrome path (Obs.Span.spans ctx);
-          Format.printf "span trace written to %s (open in Perfetto)@." path
-      | None -> ());
-      0
+      Option.iter (Format.printf "%a" Obs.Metrics.pp_table) r.profile;
+      write_trace ctx trace_out;
+      Ok 0
     in
-    match cache_cap with
-    | None -> (
-        let ctx = Obs.Span.create () in
-        match go ctx with
-        | Error msg ->
-            Format.eprintf "error: %s@." msg;
-            1
-        | Ok r -> report ctx r)
-    | Some capacity -> (
-        (* first run fills the cache (miss), second is the profile the
-           user sees — its [cache] span carries the hit and the table
-           gains the plan-cache counter line *)
-        let cache = Driver.Pipeline.make_cache ~capacity () in
-        match go ~cache (Obs.Span.create ()) with
-        | Error msg ->
-            Format.eprintf "error: %s@." msg;
-            1
-        | Ok _ -> (
-            let ctx = Obs.Span.create () in
-            match go ~cache ctx with
-            | Error msg ->
-                Format.eprintf "error: %s@." msg;
-                1
-            | Ok r ->
-                Format.printf
-                  "second run through a plan cache of capacity %d:@." capacity;
-                report ctx r))
+    exit_code
+      (match cache_cap with
+      | None ->
+          let ctx = Obs.Span.create () in
+          let* r = go ctx in
+          report ctx r
+      | Some capacity ->
+          (* first run fills the cache (miss), second is the profile the
+             user sees — its [cache] span carries the hit and the table
+             gains the plan-cache counter line *)
+          let cache = Driver.Pipeline.make_cache ~capacity () in
+          let* _ = go ~cache (Obs.Span.create ()) in
+          let ctx = Obs.Span.create () in
+          let* r = go ~cache ctx in
+          Format.printf "second run through a plan cache of capacity %d:@."
+            capacity;
+          report ctx r)
   in
   let cache_cap =
     Arg.(value & opt (some int) None
@@ -367,61 +339,20 @@ let explain_cmd =
           $ trace_out_arg)
 
 (* ------------------------------------------------------------------ *)
-(* cache-stats: replay a synthetic stream through a plan cache         *)
+(* replayed serving: cache-stats and stats                             *)
 
-let cache_stats_cmd =
-  let run shape n variants requests alpha capacity jobs seed =
-    let gen i =
-      let p = { Workloads.Shapes.default_params with seed = seed + i } in
-      match shape with
-      | "chain" -> Workloads.Shapes.chain ~p n
-      | "cycle" -> Workloads.Shapes.cycle ~p n
-      | "star" -> Workloads.Shapes.star ~p n
-      | "clique" -> Workloads.Shapes.clique ~p n
-      | s ->
-          invalid_arg
-            (Printf.sprintf "unknown shape %S (chain, cycle, star or clique)"
-               s)
-    in
-    match
-      Workloads.Replay.of_generator ~seed ~alpha ~variants ~length:requests
-        gen
-    with
-    | exception Invalid_argument msg ->
-        Format.eprintf "error: %s@." msg;
-        1
-    | w ->
-        let cache = Driver.Pipeline.make_cache ~capacity () in
-        let failed = Atomic.make None in
-        let t0 = Unix.gettimeofday () in
-        Parallel.Pool.with_pool ~jobs (fun pool ->
-            Parallel.Pool.run_fun pool requests (fun i _wid ->
-                match
-                  Driver.Pipeline.optimize_graph ~cache
-                    (Workloads.Replay.graph w i)
-                with
-                | Ok _ -> ()
-                | Error m -> Atomic.set failed (Some m)));
-        let dt = Unix.gettimeofday () -. t0 in
-        (match Atomic.get failed with
-        | Some m ->
-            Format.eprintf "error: a replayed request failed: %s@." m;
-            1
-        | None ->
-            Format.printf
-              "replayed %d requests over %d %s-%d variants (zipf %.2f, %d \
-               touched) on %d domain%s@."
-              requests variants shape n alpha
-              (Workloads.Replay.distinct_requested w)
-              jobs
-              (if jobs = 1 then "" else "s");
-            Format.printf "cache: %a@." Cache.Plan_cache.pp_stats
-              (Cache.Plan_cache.stats cache);
-            Format.printf "throughput: %.0f plans/sec  (%.3f ms/request)@."
-              (float_of_int requests /. dt)
-              (dt *. 1e3 /. float_of_int requests);
-            0)
-  in
+type replay = {
+  shape : string;
+  n : int;
+  variants : int;
+  requests : int;
+  alpha : float;
+  capacity : int;
+  jobs : int;
+  seed : int;
+}
+
+let replay_term =
   let variants =
     Arg.(value & opt int 8
          & info [ "variants" ]
@@ -443,6 +374,68 @@ let cache_stats_cmd =
   let seed =
     Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Stream and catalog seed.")
   in
+  Term.(
+    const (fun shape n variants requests alpha capacity jobs seed ->
+        { shape; n; variants; requests; alpha; capacity; jobs; seed })
+    $ shape_arg $ n_arg $ variants $ requests $ alpha $ capacity $ jobs_arg
+    $ seed)
+
+(* Serve a Zipf-skewed replay of [rp.variants] same-shape templates
+   through one plan cache on a pool of [rp.jobs] domains.  Returns the
+   stream, the cache and the wall clock of serving it. *)
+let serve_replay ?tel ?algo ?budget rp =
+  let gen i =
+    let p = { Workloads.Shapes.default_params with seed = rp.seed + i } in
+    match rp.shape with
+    | "chain" -> Workloads.Shapes.chain ~p rp.n
+    | "cycle" -> Workloads.Shapes.cycle ~p rp.n
+    | "star" -> Workloads.Shapes.star ~p rp.n
+    | "clique" -> Workloads.Shapes.clique ~p rp.n
+    | s ->
+        invalid_arg
+          (Printf.sprintf "unknown shape %S (chain, cycle, star or clique)" s)
+  in
+  match
+    Workloads.Replay.of_generator ~seed:rp.seed ~alpha:rp.alpha
+      ~variants:rp.variants ~length:rp.requests gen
+  with
+  | exception Invalid_argument msg -> Error msg
+  | w -> (
+      let cache = Driver.Pipeline.make_cache ~capacity:rp.capacity () in
+      let failed = Atomic.make None in
+      let t0 = Unix.gettimeofday () in
+      Parallel.Pool.with_pool ~jobs:rp.jobs (fun pool ->
+          Parallel.Pool.run_fun pool rp.requests (fun i _wid ->
+              match
+                Driver.Pipeline.optimize_graph ?tel ~cache ?algo ?budget
+                  (Workloads.Replay.graph w i)
+              with
+              | Ok _ -> ()
+              | Error m -> Atomic.set failed (Some m)));
+      let dt = Unix.gettimeofday () -. t0 in
+      match Atomic.get failed with
+      | Some m -> Error ("a replayed request failed: " ^ m)
+      | None -> Ok (w, cache, dt))
+
+let plural_domains jobs = if jobs = 1 then "" else "s"
+
+let cache_stats_cmd =
+  let run rp =
+    exit_code
+      (let* w, cache, dt = serve_replay rp in
+       Format.printf
+         "replayed %d requests over %d %s-%d variants (zipf %.2f, %d \
+          touched) on %d domain%s@."
+         rp.requests rp.variants rp.shape rp.n rp.alpha
+         (Workloads.Replay.distinct_requested w)
+         rp.jobs (plural_domains rp.jobs);
+       Format.printf "cache: %a@." Cache.Plan_cache.pp_stats
+         (Cache.Plan_cache.stats cache);
+       Format.printf "throughput: %.0f plans/sec  (%.3f ms/request)@."
+         (float_of_int rp.requests /. dt)
+         (dt *. 1e3 /. float_of_int rp.requests);
+       Ok 0)
+  in
   Cmd.v
     (Cmd.info "cache-stats"
        ~doc:
@@ -450,97 +443,35 @@ let cache_stats_cmd =
           plan cache on a domain pool and print the hit/miss/coalesced/\
           eviction counters and the served throughput — the \
           optimizer-as-a-service serving loop in one command.")
-    Term.(const run $ shape_arg $ n_arg $ variants $ requests $ alpha
-          $ capacity $ jobs_arg $ seed)
-
-(* ------------------------------------------------------------------ *)
-(* stats: serve a replay with always-on telemetry and export it        *)
+    Term.(const run $ replay_term)
 
 let stats_cmd =
-  let run shape n variants requests alpha capacity jobs seed algo budget
-      prometheus json out top slow_ms =
-    let gen i =
-      let p = { Workloads.Shapes.default_params with seed = seed + i } in
-      match shape with
-      | "chain" -> Workloads.Shapes.chain ~p n
-      | "cycle" -> Workloads.Shapes.cycle ~p n
-      | "star" -> Workloads.Shapes.star ~p n
-      | "clique" -> Workloads.Shapes.clique ~p n
-      | s ->
-          invalid_arg
-            (Printf.sprintf "unknown shape %S (chain, cycle, star or clique)"
-               s)
-    in
-    match
-      Workloads.Replay.of_generator ~seed ~alpha ~variants ~length:requests
-        gen
-    with
-    | exception Invalid_argument msg ->
-        Format.eprintf "error: %s@." msg;
-        1
-    | w -> (
-        let tel = Obs.Export.create ~slow_s:(slow_ms /. 1e3) () in
-        let cache = Driver.Pipeline.make_cache ~capacity () in
-        let failed = Atomic.make None in
-        Parallel.Pool.with_pool ~jobs (fun pool ->
-            Parallel.Pool.run_fun pool requests (fun i _wid ->
-                match
-                  Driver.Pipeline.optimize_graph ~tel ~cache ~algo ?budget
-                    (Workloads.Replay.graph w i)
-                with
-                | Ok _ -> ()
-                | Error m -> Atomic.set failed (Some m)));
-        match Atomic.get failed with
-        | Some m ->
-            Format.eprintf "error: a replayed request failed: %s@." m;
-            1
-        | None -> (
-            Driver.Pipeline.export_cache_stats tel cache;
-            let doc =
-              if prometheus then Some (Obs.Export.prometheus tel)
-              else if json then Some (Obs.Export.to_json ~top tel)
-              else None
-            in
-            match doc, out with
-            | Some doc, None ->
-                print_string doc;
-                0
-            | Some doc, Some path ->
-                (* atomic: a scraper polling the file never sees a
-                   truncated document *)
-                Obs.Atomic_file.write path doc;
-                Format.printf "telemetry written to %s@." path;
-                0
-            | None, _ ->
-                Format.printf
-                  "replayed %d requests over %d %s-%d variants (zipf %.2f, \
-                   algo %s) on %d domain%s@.@."
-                  requests variants shape n alpha
-                  (Core.Optimizer.name algo)
-                  jobs
-                  (if jobs = 1 then "" else "s");
-                Obs.Export.print_stats ~top Format.std_formatter tel;
-                0))
-  in
-  let variants =
-    Arg.(value & opt int 8
-         & info [ "variants" ]
-             ~doc:"Distinct query templates in the replay universe.")
-  in
-  let requests =
-    Arg.(value & opt int 200
-         & info [ "requests" ] ~doc:"Length of the replay request stream.")
-  in
-  let alpha =
-    Arg.(value & opt float 1.0
-         & info [ "alpha" ]
-             ~doc:"Zipf skew exponent of template popularity (0 = uniform).")
-  in
-  let capacity =
-    Arg.(value & opt int 64 & info [ "capacity" ] ~doc:"Plan-cache capacity.")
-  in
-  let seed =
-    Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Stream and catalog seed.")
+  let run rp algo budget prometheus json out top slow_ms =
+    let tel = Obs.Export.create ~slow_s:(slow_ms /. 1e3) () in
+    exit_code
+      (let* _, cache, _ = serve_replay ~tel ~algo ?budget rp in
+       Driver.Pipeline.export_cache_stats tel cache;
+       let doc =
+         if prometheus then Some (Obs.Export.prometheus tel)
+         else if json then Some (Obs.Export.to_json ~top tel)
+         else None
+       in
+       (match (doc, out) with
+       | Some doc, None -> print_string doc
+       | Some doc, Some path ->
+           (* atomic: a scraper polling the file never sees a
+              truncated document *)
+           Obs.Atomic_file.write path doc;
+           Format.printf "telemetry written to %s@." path
+       | None, _ ->
+           Format.printf
+             "replayed %d requests over %d %s-%d variants (zipf %.2f, algo \
+              %s) on %d domain%s@.@."
+             rp.requests rp.variants rp.shape rp.n rp.alpha
+             (Core.Optimizer.name algo)
+             rp.jobs (plural_domains rp.jobs);
+           Obs.Export.print_stats ~top Format.std_formatter tel);
+       Ok 0)
   in
   (* Default adaptive, so the per-tier latency series are populated. *)
   let algo =
@@ -589,9 +520,8 @@ let stats_cmd =
           occupancy, and a flight recorder of the slowest requests — then \
           print the summary table, or export it with $(b,--prometheus) / \
           $(b,--json).")
-    Term.(const run $ shape_arg $ n_arg $ variants $ requests $ alpha
-          $ capacity $ jobs_arg $ seed $ algo $ budget_arg $ prometheus
-          $ json $ out $ top $ slow_ms)
+    Term.(const run $ replay_term $ algo $ budget_arg $ prometheus $ json
+          $ out $ top $ slow_ms)
 
 (* ------------------------------------------------------------------ *)
 (* shape: benchmark graphs                                             *)
@@ -600,22 +530,11 @@ let shape_cmd =
   let run shape n splits algo model budget k dpconv_objective jobs stable
       profile trace_out =
     match graph_of_shape shape n splits with
-    | Error msg ->
-        Format.eprintf "error: %s@." msg;
-        1
-    | Ok g -> (
+    | Error msg -> fail msg
+    | Ok g ->
         Format.printf "%a@." G.pp g;
-        let obs = obs_ctx profile trace_out in
-        match
-          timed_run ?obs ~model ?budget ~k ~dpconv_objective ~jobs algo g
-        with
-        | Error msg ->
-            Format.eprintf "error: %s@." msg;
-            1
-        | Ok (r, elapsed) ->
-            report_result ~stable g r elapsed;
-            report_obs obs profile trace_out r;
-            0)
+        optimize_and_report ~stable ~profile ~trace_out ~algo ~model ?budget ~k
+          ~dpconv_objective ~jobs g
   in
   let stable =
     Arg.(value & flag
@@ -645,25 +564,15 @@ let graph_cmd =
         | Error _ -> Hypergraph.Serialize.of_string input
     in
     match g_result with
-    | Error msg ->
-        Format.eprintf "error: %s@." msg;
-        1
+    | Error msg -> fail msg
     | Ok g ->
-        (match save with
-        | Some path ->
+        Option.iter
+          (fun path ->
             Hypergraph.Serialize.write_file path g;
-            Format.printf "wrote %s@." path
-        | None -> ());
+            Format.printf "wrote %s@." path)
+          save;
         Format.printf "%a@." G.pp g;
-        let obs = obs_ctx profile trace_out in
-        (match timed_run ?obs ~model ?budget ~k ~jobs algo g with
-        | Error msg ->
-            Format.eprintf "error: %s@." msg;
-            1
-        | Ok (r, elapsed) ->
-            report_result g r elapsed;
-            report_obs obs profile trace_out r;
-            0)
+        optimize_and_report ~profile ~trace_out ~algo ~model ?budget ~k ~jobs g
   in
   let input =
     Arg.(required & pos 0 (some string) None
@@ -687,9 +596,7 @@ let graph_cmd =
 let ccp_cmd =
   let run shape n splits brute =
     match graph_of_shape shape n splits with
-    | Error msg ->
-        Format.eprintf "error: %s@." msg;
-        1
+    | Error msg -> fail msg
     | Ok g ->
         let trace = Core.Dphyp.enumerate_ccps g in
         Format.printf "DPhyp emits %d csg-cmp-pairs@." (List.length trace);
@@ -718,9 +625,7 @@ let ccp_cmd =
 let dot_cmd =
   let run shape n splits out =
     match graph_of_shape shape n splits with
-    | Error msg ->
-        Format.eprintf "error: %s@." msg;
-        1
+    | Error msg -> fail msg
     | Ok g ->
         (match out with
         | Some path ->
@@ -743,9 +648,7 @@ let dot_cmd =
 let trace_cmd =
   let run shape n splits =
     match graph_of_shape shape n splits with
-    | Error msg ->
-        Format.eprintf "error: %s@." msg;
-        1
+    | Error msg -> fail msg
     | Ok g ->
         List.iteri
           (fun i (s1, s2) ->
@@ -768,46 +671,32 @@ let trace_cmd =
 
 let run_cmd =
   let run sql algo model budget k conservative rows seed =
-    match Sqlfront.Binder.parse_and_bind (read_sql sql) with
-    | Error msg ->
-        Format.eprintf "error: %s@." msg;
-        1
-    | Ok bound -> (
-        let tree = Conflicts.Simplify.simplify bound.tree in
-        let analysis = Conflicts.Analysis.analyze ~conservative tree in
-        let inst = Executor.Instance.for_tree ~rows ~domain:4 ~seed tree in
-        let g0 = Conflicts.Derive.hypergraph analysis in
-        let g = Executor.Estimate.calibrate inst g0 in
-        match
-          match timed_run ~model ?budget ~k algo g with
-          | Error msg ->
-              Format.eprintf "error: %s@." msg;
-              None
-          | Ok (r, _) -> r.Core.Optimizer.plan
-        with
-        | None ->
-            Format.eprintf "no plan found@.";
-            1
-        | Some plan ->
-            Format.printf "plan: %a  (est. cost %.4g, est. rows %.4g)@."
-              Plans.Plan.pp plan plan.Plans.Plan.cost plan.Plans.Plan.card;
-            let optimized = Plans.Plan.to_optree g plan in
-            let result = Executor.Exec.eval inst optimized in
-            let universe = Executor.Exec.output_tables tree in
-            let expected = Executor.Exec.eval inst tree in
-            (match Executor.Bag.diff_summary ~universe expected result with
-            | None ->
-                Format.printf
-                  "verified: plan result equals original-order result (%d \
-                   tuples)@."
-                  (List.length result)
-            | Some m -> Format.printf "MISMATCH: %s@." m);
-            Format.printf "@.first tuples:@.";
-            List.iteri
-              (fun i env ->
-                if i < 10 then Format.printf "  %a@." Executor.Env.pp env)
-              result;
-            0)
+    exit_code
+      (let* bound = Sqlfront.Binder.parse_and_bind (read_sql sql) in
+       let* tree, g0 = Driver.Pipeline.prepare ~conservative bound.tree in
+       let inst = Executor.Instance.for_tree ~rows ~domain:4 ~seed tree in
+       let* r =
+         Driver.Pipeline.optimize_graph ~algo ~model ?budget ~k
+           (Executor.Estimate.calibrate inst g0)
+       in
+       let plan = r.plan in
+       Format.printf "plan: %a  (est. cost %.4g, est. rows %.4g)@."
+         Plans.Plan.pp plan plan.Plans.Plan.cost plan.Plans.Plan.card;
+       let result = Executor.Exec.eval inst r.tree in
+       let universe = Executor.Exec.output_tables tree in
+       let expected = Executor.Exec.eval inst tree in
+       (match Executor.Bag.diff_summary ~universe expected result with
+       | None ->
+           Format.printf
+             "verified: plan result equals original-order result (%d \
+              tuples)@."
+             (List.length result)
+       | Some m -> Format.printf "MISMATCH: %s@." m);
+       Format.printf "@.first tuples:@.";
+       List.iteri
+         (fun i env -> if i < 10 then Format.printf "  %a@." Executor.Env.pp env)
+         result;
+       Ok 0)
   in
   let rows =
     Arg.(value & opt int 8
@@ -832,29 +721,18 @@ let analyze_cmd =
       Driver.Analyze.analyze_sql ?obs ~algo ~model ?budget ~k ~conservative
         ~rows ~seed ?sample (read_sql sql)
     with
-    | Error msg ->
-        Format.eprintf "error: %s@." msg;
-        1
+    | Error msg -> fail msg
     | Ok rep ->
         Format.printf "%a" (Driver.Analyze.pp ~stable) rep;
-        (match json_out with
-        | Some path ->
+        Option.iter
+          (fun path ->
             Obs.Atomic_file.write path (Driver.Analyze.to_json ~query:sql rep);
-            Format.printf "analyze report written to %s@." path
-        | None -> ());
-        (match obs with
-        | None -> ()
-        | Some ctx ->
-            (match trace_out with
-            | Some path ->
-                Obs.Sink.write_chrome path (Obs.Span.spans ctx);
-                Format.printf "span trace written to %s (open in Perfetto)@."
-                  path
-            | None -> ());
-            if profile then
-              match rep.Driver.Analyze.profile with
-              | Some p -> Format.printf "@.%a" Obs.Metrics.pp_table p
-              | None -> ());
+            Format.printf "analyze report written to %s@." path)
+          json_out;
+        Option.iter (fun ctx -> write_trace ctx trace_out) obs;
+        (match rep.Driver.Analyze.profile with
+        | Some p when profile -> Format.printf "@.%a" Obs.Metrics.pp_table p
+        | _ -> ());
         0
   in
   let rows =
@@ -901,9 +779,7 @@ let inspect_cmd =
   let run shape n splits algo model budget k json dot out sample max_subsets
       max_champions =
     match graph_of_shape shape n splits with
-    | Error msg ->
-        Format.eprintf "error: %s@." msg;
-        1
+    | Error msg -> fail msg
     | Ok g -> (
         let prov =
           Inspect.Provenance.create ~sample ~max_subsets ~max_champions ()
@@ -912,9 +788,7 @@ let inspect_cmd =
           Driver.Pipeline.optimize_graph ~inspect:prov ~algo ~model ?budget ~k
             g
         with
-        | Error msg ->
-            Format.eprintf "error: %s@." msg;
-            1
+        | Error msg -> fail msg
         | Ok r ->
             let names i = (G.relation g i).G.name in
             let doc =
@@ -1010,14 +884,10 @@ let inspect_cmd =
 let why_cmd =
   let run shape n splits model force_order =
     match graph_of_shape shape n splits with
-    | Error msg ->
-        Format.eprintf "error: %s@." msg;
-        1
+    | Error msg -> fail msg
     | Ok g -> (
         match Inspect.Why.analyze ~model g force_order with
-        | Error msg ->
-            Format.eprintf "error: %s@." msg;
-            1
+        | Error msg -> fail msg
         | Ok rep ->
             Format.printf "%a" Inspect.Why.pp rep;
             0)
@@ -1050,33 +920,25 @@ let tpch_cmd =
       List.iter
         (fun name ->
           let g = Workloads.Tpch.query ~sf name in
-          match timed_run ~model ?budget ~k algo g with
+          match
+            timed (fun () ->
+                Driver.Pipeline.optimize_graph ~algo ~model ?budget ~k g)
+          with
           | Error msg -> Format.printf "%-4s: %s@." name msg
           | Ok (r, elapsed) ->
               Format.printf "%-4s (%d relations): time=%.3f ms  cost=%.4g  %a@."
-                name (G.num_nodes g) (elapsed *. 1000.0)
-                (match r.Core.Optimizer.plan with
-                | Some p -> p.Plans.Plan.cost
-                | None -> nan)
-                (Format.pp_print_option Plans.Plan.pp)
-                r.Core.Optimizer.plan)
+                name (G.num_nodes g) (elapsed *. 1000.0) r.plan.cost
+                Plans.Plan.pp r.plan)
         Workloads.Tpch.query_names;
       0
     end
     else
       match Workloads.Tpch.query ~sf query with
-      | g -> (
+      | g ->
           Format.printf "%a@." G.pp g;
-          match timed_run ~model ?budget ~k algo g with
-          | Error msg ->
-              Format.eprintf "error: %s@." msg;
-              1
-          | Ok (r, elapsed) ->
-              report_result g r elapsed;
-              0)
-      | exception Invalid_argument msg ->
-          Format.eprintf "error: %s@." msg;
-          1
+          optimize_and_report ~profile:false ~trace_out:None ~algo ~model
+            ?budget ~k ~jobs:1 g
+      | exception Invalid_argument msg -> fail msg
   in
   let query =
     Arg.(value & pos 0 string "all"

@@ -61,16 +61,12 @@ val default_ks : int list
 
 val solve :
   ?obs:Obs.Span.ctx ->
-  ?tel:Obs.Export.t ->
   ?model:Costing.Cost_model.t ->
   ?budget:int ->
   ?ks:int list ->
   Hypergraph.Graph.t ->
   outcome
-(** Run the ladder.  [?tel] records every attempted rung's wall clock
-    into the [joinopt_tier_latency_seconds{tier=...}] histogram —
-    always-on serving telemetry, independent of span collection.
-    [?obs] records one ["tier:<name>"] span per
+(** Run the ladder.  [?obs] records one ["tier:<name>"] span per
     attempted rung (with the pairs it consumed, and a ["raised"] tag
     when the budget cut it short), nesting the per-round IDP spans
     underneath.  Without [?budget] the exact tier always completes

@@ -59,48 +59,30 @@ type result = {
   attempts : Adaptive.attempt list;
 }
 
-let run ?obs ?tel ?model ?filter ?budget ?(k = Idp.default_k)
+let run ?obs ?model ?filter ?budget ?(k = Idp.default_k)
     ?(dpconv_objective = Dpconv.Cmax) algo g =
   if filter <> None && not (supports_filter algo) then
     invalid_arg
       (Printf.sprintf "Optimizer.run: %s does not support a validity filter"
          (name algo));
   let counters = Counters.create ?budget () in
+  let plain ?(dp_entries = 0) plan =
+    { plan; counters; dp_entries; tier = None; attempts = [] }
+  in
+  let tabled (dp, plan) = plain ~dp_entries:(Plans.Dp_table.size dp) plan in
   let enumerate () =
     match algo with
-    | Dphyp ->
-        let dp, plan = Dphyp.solve_with_table ?model ?filter ~counters g in
-        { plan; counters; dp_entries = Plans.Dp_table.size dp; tier = None;
-          attempts = [] }
-    | Dpsize ->
-        let dp, plan = Dpsize.solve_with_table ?model ?filter ~counters g in
-        { plan; counters; dp_entries = Plans.Dp_table.size dp; tier = None;
-          attempts = [] }
-    | Dpsub ->
-        let dp, plan = Dpsub.solve_with_table ?model ?filter ~counters g in
-        { plan; counters; dp_entries = Plans.Dp_table.size dp; tier = None;
-          attempts = [] }
-    | Dpccp ->
-        let dp, plan = Dpccp.solve_with_table ?model ~counters g in
-        { plan; counters; dp_entries = Plans.Dp_table.size dp; tier = None;
-          attempts = [] }
-    | Goo ->
-        let plan = Goo.solve ?model ~counters g in
-        { plan; counters; dp_entries = 0; tier = None; attempts = [] }
-    | Topdown ->
-        let plan = Top_down.solve ?model ~counters g in
-        { plan; counters; dp_entries = 0; tier = None; attempts = [] }
-    | Tdpart ->
-        let plan = Top_down_partition.solve ?model ~counters g in
-        { plan; counters; dp_entries = 0; tier = None; attempts = [] }
-    | Idp ->
-        let plan = Idp.solve ?obs ?model ~counters ~k g in
-        { plan; counters; dp_entries = 0; tier = None; attempts = [] }
-    | Partition ->
-        let plan = Partition.solve ?obs ?model ~counters ~k g in
-        { plan; counters; dp_entries = 0; tier = None; attempts = [] }
+    | Dphyp -> tabled (Dphyp.solve_with_table ?model ?filter ~counters g)
+    | Dpsize -> tabled (Dpsize.solve_with_table ?model ?filter ~counters g)
+    | Dpsub -> tabled (Dpsub.solve_with_table ?model ?filter ~counters g)
+    | Dpccp -> tabled (Dpccp.solve_with_table ?model ~counters g)
+    | Goo -> plain (Goo.solve ?model ~counters g)
+    | Topdown -> plain (Top_down.solve ?model ~counters g)
+    | Tdpart -> plain (Top_down_partition.solve ?model ~counters g)
+    | Idp -> plain (Idp.solve ?obs ?model ~counters ~k g)
+    | Partition -> plain (Partition.solve ?obs ?model ~counters ~k g)
     | Adaptive ->
-        let o = Adaptive.solve ?obs ?tel ?model ?budget g in
+        let o = Adaptive.solve ?obs ?model ?budget g in
         {
           plan = o.Adaptive.plan;
           counters = o.Adaptive.counters;
@@ -110,13 +92,7 @@ let run ?obs ?tel ?model ?filter ?budget ?(k = Idp.default_k)
         }
     | Dpconv ->
         let o = Dpconv.solve ?model ~objective:dpconv_objective ~counters g in
-        {
-          plan = o.Dpconv.plan;
-          counters;
-          dp_entries = Plans.Dp_table.size o.Dpconv.dp;
-          tier = None;
-          attempts = [];
-        }
+        plain ~dp_entries:(Plans.Dp_table.size o.Dpconv.dp) o.Dpconv.plan
   in
   match obs with
   | None -> enumerate ()
@@ -132,8 +108,8 @@ let run ?obs ?tel ?model ?filter ?budget ?(k = Idp.default_k)
           set "dp_entries" r.dp_entries;
           r)
 
-let plan_source algo r =
-  match r.tier with
+let plan_source algo tier =
+  match tier with
   | Some t -> name algo ^ ":" ^ Adaptive.tier_name t
   | None -> name algo
 

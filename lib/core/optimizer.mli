@@ -59,7 +59,6 @@ type result = {
 
 val run :
   ?obs:Obs.Span.ctx ->
-  ?tel:Obs.Export.t ->
   ?model:Costing.Cost_model.t ->
   ?filter:Emit.filter ->
   ?budget:int ->
@@ -69,11 +68,6 @@ val run :
   Hypergraph.Graph.t ->
   result
 (** Run one algorithm on one query graph.
-
-    [?tel] is the always-on serving-telemetry registry: for
-    [Adaptive] it records per-tier latency histograms (other
-    algorithms record nothing at this layer — the driver records the
-    end-to-end latency).
 
     [?obs] records an ["enumerate:<algo>"] span (annotated with the
     final counters and DP-table occupancy) plus the per-tier and
@@ -94,9 +88,9 @@ val run :
     non-simple edges, or a [filter] is passed to an algorithm that
     does not support one. *)
 
-val plan_source : algorithm -> result -> string
-(** Provenance label of the returned plan: the algorithm name, refined
-    to ["adaptive:<tier>"] when the adaptive ladder answered on a
+val plan_source : algorithm -> Adaptive.tier option -> string
+(** Provenance label of a plan: the algorithm name, refined to
+    ["adaptive:<tier>"] when the adaptive ladder answered on a
     specific rung — what EXPLAIN ANALYZE reports as the plan's
     source. *)
 

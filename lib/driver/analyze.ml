@@ -105,40 +105,21 @@ let build_rows g plan stats =
   walk 0 plan;
   List.rev !out
 
-let analyze_tree ?obs ?(algo = Opt.Dphyp) ?model ?budget ?k
-    ?(conservative = false) ?(rows = 8) ?(domain = 4) ?(seed = 42) ?sample
-    tree =
-  match Relalg.Optree.validate tree with
-  | Error e -> Error ("invalid operator tree: " ^ Relalg.Optree.error_to_string e)
-  | Ok () -> (
-      let tree =
-        Obs.Span.with_opt obs "simplify" (fun _ ->
-            Conflicts.Simplify.simplify tree)
-      in
-      let analysis =
-        Obs.Span.with_opt obs "conflict-analysis" (fun _ ->
-            Conflicts.Analysis.analyze ~conservative tree)
-      in
-      let g0 =
-        Obs.Span.with_opt obs "hypergraph-derive" (fun _ ->
-            Conflicts.Derive.hypergraph analysis)
-      in
+let analyze_tree ?obs ?(algo = Opt.Dphyp) ?model ?budget ?k ?conservative
+    ?(rows = 8) ?(domain = 4) ?(seed = 42) ?sample tree =
+  match Pipeline.prepare ?obs ?conservative tree with
+  | Error m -> Error m
+  | Ok (tree, g0) -> (
       let inst = Executor.Instance.for_tree ~rows ~domain ~seed tree in
       let g =
         Obs.Span.with_opt obs "calibrate" (fun _ ->
             Executor.Estimate.calibrate ?sample ~seed inst g0)
       in
-      match Opt.run ?obs ?model ?budget ?k algo g with
-      | { Opt.plan = None; _ } -> Error "no valid plan found"
-      | exception Invalid_argument m -> Error m
-      | exception Core.Counters.Budget_exhausted ->
-          Error Pipeline.budget_error
-      | { Opt.plan = Some plan; _ } as r ->
-          let optimized =
-            Obs.Span.with_opt obs "plan-emit" (fun _ ->
-                Plans.Plan.to_optree g plan)
-          in
-          let result, stats = Executor.Exec.eval_stats ?obs inst optimized in
+      match Pipeline.optimize_graph ?obs ~algo ?model ?budget ?k g with
+      | Error m -> Error m
+      | Ok r ->
+          let plan = r.Pipeline.plan in
+          let result, stats = Executor.Exec.eval_stats ?obs inst r.Pipeline.tree in
           let op_rows = build_rows g plan stats in
           let joins = List.filter (fun row -> row.is_join) op_rows in
           let qs = List.filter_map (fun row -> row.q_error) joins in
@@ -157,34 +138,27 @@ let analyze_tree ?obs ?(algo = Opt.Dphyp) ?model ?budget ?k
                 in
                 let universe = Executor.Exec.output_tables tree in
                 ( Executor.Bag.diff_summary ~universe expected result,
-                  List.fold_left
-                    (fun s (st : Executor.Exec.op_stat) ->
-                      if st.op = None then s
-                      else s +. float_of_int st.rows_out)
-                    0.0 orig_stats ))
+                  Executor.Stats.cout orig_stats ))
           in
           (* Exact reference: when the plan came from a heuristic tier,
              measure the C_out the exact plan would have achieved. *)
           let is_exact =
-            Opt.exact algo || r.Opt.tier = Some Core.Adaptive.Exact
+            Opt.exact algo || r.Pipeline.tier = Some Core.Adaptive.Exact
           in
           let exact_cout =
             if is_exact then Some measured_cout
             else
               Obs.Span.with_opt obs "exact-reference" (fun _ ->
-                  match (Opt.run ?model Opt.Dphyp g).Opt.plan with
-                  | Some ep ->
-                      Some
-                        (Executor.Stats.actual_cout inst
-                           (Plans.Plan.to_optree g ep))
-                  | None -> None)
+                  match Pipeline.optimize_graph ?model g with
+                  | Ok e -> Some (Executor.Stats.actual_cout inst e.Pipeline.tree)
+                  | Error _ -> None)
           in
           let quality_delta =
             match exact_cout with
             | Some e when e > 0.0 -> Some (measured_cout /. e)
             | _ -> None
           in
-          let source = Opt.plan_source algo r in
+          let source = Opt.plan_source algo r.Pipeline.tier in
           let quality =
             {
               Obs.Metrics.q_tier = source;
@@ -216,10 +190,17 @@ let analyze_tree ?obs ?(algo = Opt.Dphyp) ?model ?budget ?k
               quality_delta;
               exec_ms;
               profile =
-                Option.map
-                  (fun ctx ->
-                    Obs.Metrics.with_quality (Opt.profile ctx r) quality)
-                  obs;
+                (* the pipeline's profile ends at the plan; re-take
+                   its spans so execution and verification show too *)
+                (match (obs, r.Pipeline.profile) with
+                | Some ctx, Some p ->
+                    Some
+                      (Obs.Metrics.make ?counters:p.Obs.Metrics.counters
+                         ~dp_entries:p.Obs.Metrics.dp_entries
+                         ~tiers:p.Obs.Metrics.tiers
+                         ?winning_tier:p.Obs.Metrics.winning_tier ~quality
+                         ~total_s:(Obs.Span.elapsed ctx) (Obs.Span.spans ctx))
+                | _ -> None);
             })
 
 let analyze_sql ?obs ?algo ?model ?budget ?k ?conservative ?rows ?domain

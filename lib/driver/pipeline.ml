@@ -11,6 +11,7 @@ type result = {
   graph : Hypergraph.Graph.t;
   plan : Plans.Plan.t;
   counters : Core.Counters.t;
+  dp_entries : int;
   tier : Core.Adaptive.tier option;
   profile : Obs.Metrics.profile option;
 }
@@ -45,19 +46,19 @@ let prov_summary graph prov =
    a domain pool — only DPhyp has a parallel decomposition (see
    Parallel.Par_dphyp); every other algorithm refuses rather than
    silently running sequentially. *)
-let run_algo ?obs ?tel ?model ?filter ?budget ?k ?dpconv_objective ?inspect
-    ~jobs algo graph =
+let run_algo ?obs ?model ?filter ?budget ?k ?dpconv_objective ?inspect ~jobs
+    algo graph =
   let go () =
     if jobs <= 1 then
-      Core.Optimizer.run ?obs ?tel ?model ?filter ?budget ?k ?dpconv_objective
-        algo graph
+      Core.Optimizer.run ?obs ?model ?filter ?budget ?k ?dpconv_objective algo
+        graph
     else if algo <> Core.Optimizer.Dphyp then
       invalid_arg
         (Printf.sprintf "jobs > 1 requires the dphyp algorithm (got %s)"
            (Core.Optimizer.name algo))
     else
       Parallel.Pool.with_pool ~jobs (fun pool ->
-          Parallel.Par_dphyp.run ?obs ?tel ?model ?filter ?budget ~pool graph)
+          Parallel.Par_dphyp.run ?obs ?model ?filter ?budget ~pool graph)
   in
   match inspect with
   | None -> go ()
@@ -94,45 +95,34 @@ let exact_key ?model ?budget ?k ?(dpconv_objective = Core.Dpconv.Cmax) algo
     (Option.value k ~default:Core.Idp.default_k)
     (Hypergraph.Serialize.to_string graph)
 
-(* Memoized enumeration.  A conflict-mode validity filter is a
-   closure the key cannot capture, so those runs bypass the cache
-   rather than risk serving a plan computed under a different filter.
-   On a miss the optimizer runs inside the requester's [cache] span
-   (so explain shows enumerate nested under cache); a hit or a
-   coalesced wait returns the memoized result untouched — the cached
-   plan is the exact value a fresh run would build, because the key
-   is exact. *)
-(* Returns the optimizer result plus the plan-cache outcome name, so
-   the telemetry layer can label series and recorder entries without
-   re-deriving it from span attributes. *)
-let run_cached ?obs ?tel ?cache ?model ?filter ?budget ?k ?dpconv_objective
+(* Memoized enumeration, returning the optimizer result plus the
+   plan-cache outcome ([None] when the cache was bypassed).  A
+   conflict-mode validity filter is a closure the key cannot capture,
+   and a provenance-recorded request must actually enumerate (a hit
+   has no decision trail), so both bypass the cache.  On a miss the
+   optimizer runs inside the requester's [cache] span (so explain
+   shows enumerate nested under cache); a hit or a coalesced wait
+   returns the memoized result untouched — the cached plan is the
+   exact value a fresh run would build, because the key is exact. *)
+let run_cached ?obs ?cache ?model ?filter ?budget ?k ?dpconv_objective
     ?inspect ~jobs algo graph =
+  let run () =
+    run_algo ?obs ?model ?filter ?budget ?k ?dpconv_objective ?inspect ~jobs
+      algo graph
+  in
   match cache with
-  | None ->
-      (run_algo ?obs ?tel ?model ?filter ?budget ?k ?dpconv_objective ?inspect
-         ~jobs algo graph,
-       None)
-  | Some _ when filter <> None || inspect <> None ->
-      (* a provenance-recorded request must actually enumerate — a
-         cache hit has no decision trail to record *)
-      (run_algo ?obs ?tel ?model ?filter ?budget ?k ?dpconv_objective ?inspect
-         ~jobs algo graph,
-       None)
-  | Some c ->
+  | Some c when filter = None && inspect = None ->
       Obs.Span.with_opt obs "cache" (fun sp ->
           let key =
             Cache.Plan_cache.key
               ~fingerprint:(Cache.Fingerprint.of_graph graph)
               ~exact:(exact_key ?model ?budget ?k ?dpconv_objective algo graph)
           in
-          let r, outcome =
-            Cache.Plan_cache.find_or_compute c key (fun () ->
-                run_algo ?obs ?tel ?model ?budget ?k ?dpconv_objective ~jobs
-                  algo graph)
-          in
-          let name = Cache.Plan_cache.outcome_name outcome in
-          Obs.Span.set_opt sp "cache" (Obs.Span.Str name);
-          (r, Some name))
+          let r, outcome = Cache.Plan_cache.find_or_compute c key run in
+          Obs.Span.set_opt sp "cache"
+            (Obs.Span.Str (Cache.Plan_cache.outcome_name outcome));
+          (r, Some outcome))
+  | _ -> (run (), None)
 
 (* ---------- serving telemetry ---------- *)
 
@@ -140,32 +130,76 @@ let latency_help = "End-to-end optimize latency in seconds"
 
 let phase_help = "Per-pipeline-phase latency in seconds"
 
-(* Depth-0 span names, with the algorithm-specific enumerate span
-   collapsed to one "enumerate" phase so the series stays
-   low-cardinality. *)
-let phase_name (s : Obs.Sink.span) =
-  if String.length s.Obs.Sink.name >= 10
-     && String.sub s.Obs.Sink.name 0 10 = "enumerate:"
-  then "enumerate"
-  else s.Obs.Sink.name
+let tier_help = "Wall-clock seconds spent in each adaptive tier"
 
-(* One always-on record per served request: the overall latency
-   histogram (labeled by algorithm, plan-cache outcome and
-   ok/error), the per-phase histograms harvested from the request's
-   depth-0 spans, and a flight-recorder entry (which keeps the whole
-   span tree when the request was slow). *)
-let tel_record tel ~obs ~t0 ~(gc0 : Gc.stat) ~algo ~graph ?inspect outcome =
-  let wall_s = Obs.Span.now () -. t0 in
-  let gc1 = Gc.quick_stat () in
+let merge_help =
+  "Per-domain seconds spent merging buffered pairs into the sharded DP table"
+
+(* The worker domain [i] of a parallel enumerator's [d<i>_merge_ms]
+   span attribute. *)
+let merge_domain key =
+  if String.starts_with ~prefix:"d" key
+     && String.ends_with ~suffix:"_merge_ms" key
+  then int_of_string_opt (String.sub key 1 (String.length key - 10))
+  else None
+
+(* A request's span collectors, and where its telemetry starts.
+   Telemetry needs spans (per-phase and per-tier histograms,
+   slow-request span promotion) even when the caller asked for no
+   profile: requests with [?tel] but no [?obs] get a private
+   collector in [ctx], while the result's [profile] stays keyed off
+   the caller's own [obs].  The clock and this domain's allocation
+   counters are read only when [?tel] is set: [Gc.minor_words] reads
+   the allocation pointer exactly and per domain, where
+   [Gc.quick_stat]'s minor count only advances at collections and
+   folds in joined domains. *)
+type request = {
+  obs : Obs.Span.ctx option;
+  ctx : Obs.Span.ctx option;
+  tel : Obs.Export.t option;
+  t0 : float;
+  minor0 : float;
+  major0 : float;
+}
+
+let start ?obs ?tel () =
+  let on = tel <> None in
+  {
+    obs;
+    ctx = (if on && obs = None then Some (Obs.Span.create ()) else obs);
+    tel;
+    t0 = (if on then Obs.Span.now () else 0.);
+    minor0 = (if on then Gc.minor_words () else 0.);
+    major0 = (if on then (Gc.quick_stat ()).Gc.major_words else 0.);
+  }
+
+(* One always-on record per served request, all derived from the
+   request's own spans and result: the overall latency histogram
+   (labeled by algorithm, plan-cache outcome and ok/error), the
+   per-phase histograms of its depth-0 spans, the per-tier histograms
+   of its [tier:<name>] spans, the per-domain merge histograms of the
+   parallel enumerator's [d<i>_merge_ms] attributes (an enumerate
+   span counts as one "enumerate" phase whatever the algorithm, so
+   the series stays low-cardinality), and a flight-recorder entry
+   (which keeps the whole span tree when the request was slow).  A
+   hit or coalesced wait is charged no pairs: the cached counters
+   describe the miss that computed them. *)
+let tel_record tel req ~algo ~graph ?inspect outcome =
+  let wall_s = Obs.Span.now () -. req.t0 in
+  let minor_words = Gc.minor_words () -. req.minor0 in
+  let major_words = (Gc.quick_stat ()).Gc.major_words -. req.major0 in
   let algo_name = Core.Optimizer.name algo in
   let ok, tier, pairs, cache_outcome =
     match outcome with
     | Ok ((r : Core.Optimizer.result), outc) ->
         ( r.Core.Optimizer.plan <> None,
           Option.map Core.Adaptive.tier_name r.Core.Optimizer.tier,
-          r.Core.Optimizer.counters.Core.Counters.pairs_considered,
-          outc )
-    | Error () -> (false, None, 0, None)
+          (match outc with
+          | Some (Cache.Plan_cache.Hit | Cache.Plan_cache.Coalesced) -> 0
+          | Some Cache.Plan_cache.Miss | None ->
+              r.Core.Optimizer.counters.Core.Counters.pairs_considered),
+          Option.map Cache.Plan_cache.outcome_name outc )
+    | Error _ -> (false, None, 0, None)
   in
   Obs.Export.observe_s tel ~help:latency_help
     ~labels:
@@ -175,13 +209,34 @@ let tel_record tel ~obs ~t0 ~(gc0 : Gc.stat) ~algo ~graph ?inspect outcome =
         ("result", (if ok then "ok" else "error"));
       ]
     "joinopt_optimize_latency_seconds" wall_s;
-  let spans = match obs with Some ctx -> Obs.Span.spans ctx | None -> [] in
+  let spans = match req.ctx with Some ctx -> Obs.Span.spans ctx | None -> [] in
   List.iter
     (fun (s : Obs.Sink.span) ->
+      let name = s.Obs.Sink.name in
       if s.Obs.Sink.depth = 0 then
         Obs.Export.observe_s tel ~help:phase_help
-          ~labels:[ ("phase", phase_name s) ]
-          "joinopt_phase_latency_seconds" s.Obs.Sink.dur_s)
+          ~labels:
+            [
+              ( "phase",
+                if String.starts_with ~prefix:"enumerate:" name then
+                  "enumerate"
+                else name );
+            ]
+          "joinopt_phase_latency_seconds" s.Obs.Sink.dur_s;
+      if String.starts_with ~prefix:"tier:" name then
+        Obs.Export.observe_s tel ~help:tier_help
+          ~labels:[ ("tier", String.sub name 5 (String.length name - 5)) ]
+          "joinopt_tier_latency_seconds" s.Obs.Sink.dur_s;
+      if name = "enumerate:dphyp-par" then
+        List.iter
+          (fun (key, v) ->
+            match (merge_domain key, v) with
+            | Some d, Obs.Span.Float ms when ms > 0.0 ->
+                Obs.Export.observe_s tel ~help:merge_help
+                  ~labels:[ ("domain", string_of_int d) ]
+                  "joinopt_parallel_merge_seconds" (ms /. 1000.)
+            | _ -> ())
+          s.Obs.Sink.attrs)
     spans;
   let provenance =
     match inspect with
@@ -191,10 +246,8 @@ let tel_record tel ~obs ~t0 ~(gc0 : Gc.stat) ~algo ~graph ?inspect outcome =
   Obs.Recorder.record (Obs.Export.recorder tel)
     ~fingerprint:(Cache.Fingerprint.to_hex (Cache.Fingerprint.of_graph graph))
     ~relations:(Hypergraph.Graph.num_nodes graph)
-    ~algo:algo_name ?tier ?cache:cache_outcome ~pairs ~wall_s
-    ~minor_words:(gc1.Gc.minor_words -. gc0.Gc.minor_words)
-    ~major_words:(gc1.Gc.major_words -. gc0.Gc.major_words)
-    ~provenance ~spans ()
+    ~algo:algo_name ?tier ?cache:cache_outcome ~pairs ~wall_s ~minor_words
+    ~major_words ~provenance ~spans ()
 
 let export_cache_stats tel cache =
   let s = Cache.Plan_cache.stats cache in
@@ -234,22 +287,12 @@ let build_profile ?cache ?inspect ~graph obs r =
       | None -> p)
     obs
 
-(* Telemetry needs spans (per-phase histograms, slow-request span
-   promotion) even when the caller asked for no profile: requests
-   with [?tel] but no [?obs] get a private collector.  The result's
-   [profile] is still keyed off the caller's own ctx. *)
-let private_ctx obs tel =
-  match (obs, tel) with
-  | None, Some _ -> Some (Obs.Span.create ())
-  | _ -> obs
+(* ---------- one request ---------- *)
 
-let optimize_tree ?obs ?tel ?cache ?inspect ?(mode = Tes_literal)
-    ?(algo = Core.Optimizer.Dphyp) ?model ?budget ?k ?dpconv_objective
-    ?(jobs = 1) ?cards ?sels tree =
-  let obs_user = obs in
-  let obs = private_ctx obs tel in
-  let t0 = Obs.Span.now () in
-  let gc0 = Gc.quick_stat () in
+(* The front half: validate, simplify, conflict analysis under
+   [mode], hypergraph derivation, and the check that [algo] accepts
+   the mode's validity filter. *)
+let front ?obs ~mode ~algo ?cards ?sels tree =
   match Ot.validate tree with
   | Error e -> Error ("invalid operator tree: " ^ Ot.error_to_string e)
   | Ok () -> (
@@ -261,17 +304,16 @@ let optimize_tree ?obs ?tel ?cache ?inspect ?(mode = Tes_literal)
       and derived f =
         Obs.Span.with_opt obs "hypergraph-derive" (fun _ -> f ())
       in
+      let tes ~conservative =
+        let a =
+          analyzed (fun () -> Conflicts.Analysis.analyze ~conservative tree)
+        in
+        (derived (fun () -> Conflicts.Derive.hypergraph ?cards ?sels a), None)
+      in
       let graph, filter =
         match mode with
-        | Tes_literal ->
-            let a = analyzed (fun () -> Conflicts.Analysis.analyze tree) in
-            (derived (fun () -> Conflicts.Derive.hypergraph ?cards ?sels a), None)
-        | Tes_conservative ->
-            let a =
-              analyzed (fun () ->
-                  Conflicts.Analysis.analyze ~conservative:true tree)
-            in
-            (derived (fun () -> Conflicts.Derive.hypergraph ?cards ?sels a), None)
+        | Tes_literal -> tes ~conservative:false
+        | Tes_conservative -> tes ~conservative:true
         | Tes_generate_and_test ->
             let a =
               analyzed (fun () ->
@@ -286,44 +328,66 @@ let optimize_tree ?obs ?tel ?cache ?inspect ?(mode = Tes_literal)
             let g, f = derived (fun () -> Conflicts.Cdc.derive ?cards ?sels a) in
             (g, Some f)
       in
-      match filter, Core.Optimizer.supports_filter algo with
-      | Some _, false ->
+      match filter with
+      | Some _ when not (Core.Optimizer.supports_filter algo) ->
           Error
             (Printf.sprintf
                "conflict mode needs a validity filter, which %s does not \
                 support"
                (Core.Optimizer.name algo))
-      | _ -> (
-          let finish outcome =
-            match tel with
-            | Some tel ->
-                tel_record tel ~obs ~t0 ~gc0 ~algo ~graph ?inspect outcome
-            | None -> ()
-          in
-          match
-            run_cached ?obs ?tel ?cache ?model ?filter ?budget ?k
-              ?dpconv_objective ?inspect ~jobs algo graph
-          with
-          | ({ plan = Some plan; counters; tier; _ } as r), outc ->
-              finish (Ok (r, outc));
-              Ok
-                {
-                  tree;
-                  graph;
-                  plan;
-                  counters;
-                  tier;
-                  profile = build_profile ?cache ?inspect ~graph obs_user r;
-                }
-          | ({ plan = None; _ } as r), outc ->
-              finish (Ok (r, outc));
-              Error "no valid plan found"
-          | exception Invalid_argument m ->
-              finish (Error ());
-              Error m
-          | exception Core.Counters.Budget_exhausted ->
-              finish (Error ());
-              Error budget_error))
+      | _ -> Ok (tree, graph, filter))
+
+let prepare ?obs ?(conservative = false) tree =
+  let mode = if conservative then Tes_conservative else Tes_literal in
+  Result.map
+    (fun (tree, graph, _) -> (tree, graph))
+    (front ?obs ~mode ~algo:Core.Optimizer.Dphyp tree)
+
+(* The back half: cached (or bypassed) enumeration, the error
+   mapping, the result and its profile, and the telemetry record.
+   [tree] turns the winning plan into the result's operator tree. *)
+let serve req ?cache ?inspect ?model ?filter ?budget ?k ?dpconv_objective
+    ~jobs ~algo ~tree graph =
+  let outcome =
+    match
+      run_cached ?obs:req.ctx ?cache ?model ?filter ?budget ?k
+        ?dpconv_objective ?inspect ~jobs algo graph
+    with
+    | r -> Ok r
+    | exception Invalid_argument m -> Error m
+    | exception Core.Counters.Budget_exhausted -> Error budget_error
+  in
+  let result =
+    match outcome with
+    | Ok (({ plan = Some plan; _ } as r), _) ->
+        let tree = tree plan in
+        Ok
+          {
+            tree;
+            graph;
+            plan;
+            counters = r.counters;
+            dp_entries = r.dp_entries;
+            tier = r.tier;
+            profile = build_profile ?cache ?inspect ~graph req.obs r;
+          }
+    | Ok ({ plan = None; _ }, _) -> Error "no valid plan found"
+    | Error m -> Error m
+  in
+  Option.iter
+    (fun tel -> tel_record tel req ~algo ~graph ?inspect outcome)
+    req.tel;
+  result
+
+let optimize_tree ?obs ?tel ?cache ?inspect ?(mode = Tes_literal)
+    ?(algo = Core.Optimizer.Dphyp) ?model ?budget ?k ?dpconv_objective
+    ?(jobs = 1) ?cards ?sels tree =
+  let req = start ?obs ?tel () in
+  match front ?obs:req.ctx ~mode ~algo ?cards ?sels tree with
+  | Error m -> Error m
+  | Ok (tree, graph, filter) ->
+      serve req ?cache ?inspect ?model ?filter ?budget ?k ?dpconv_objective
+        ~jobs ~algo ~tree:(fun _ -> tree) graph
 
 let optimize_sql ?obs ?tel ?cache ?inspect ?mode ?algo ?model ?budget ?k
     ?dpconv_objective ?jobs ?cards ?sels sql =
@@ -335,43 +399,13 @@ let optimize_sql ?obs ?tel ?cache ?inspect ?mode ?algo ?model ?budget ?k
 
 let optimize_graph ?obs ?tel ?cache ?inspect ?(algo = Core.Optimizer.Dphyp)
     ?model ?budget ?k ?dpconv_objective ?(jobs = 1) graph =
-  let obs_user = obs in
-  let obs = private_ctx obs tel in
-  let t0 = Obs.Span.now () in
-  let gc0 = Gc.quick_stat () in
-  let finish outcome =
-    match tel with
-    | Some tel -> tel_record tel ~obs ~t0 ~gc0 ~algo ~graph ?inspect outcome
-    | None -> ()
+  let req = start ?obs ?tel () in
+  let tree plan =
+    Obs.Span.with_opt req.ctx "plan-emit" (fun _ ->
+        Plans.Plan.to_optree graph plan)
   in
-  match
-    run_cached ?obs ?tel ?cache ?model ?budget ?k ?dpconv_objective ?inspect
-      ~jobs algo graph
-  with
-  | ({ plan = Some plan; counters; tier; _ } as r), outc ->
-      let tree =
-        Obs.Span.with_opt obs "plan-emit" (fun _ ->
-            Plans.Plan.to_optree graph plan)
-      in
-      finish (Ok (r, outc));
-      Ok
-        {
-          tree;
-          graph;
-          plan;
-          counters;
-          tier;
-          profile = build_profile ?cache ?inspect ~graph obs_user r;
-        }
-  | ({ plan = None; _ } as r), outc ->
-      finish (Ok (r, outc));
-      Error "no valid plan found"
-  | exception Invalid_argument m ->
-      finish (Error ());
-      Error m
-  | exception Core.Counters.Budget_exhausted ->
-      finish (Error ());
-      Error budget_error
+  serve req ?cache ?inspect ?model ?budget ?k ?dpconv_objective ~jobs ~algo
+    ~tree graph
 
 (* Inter-query parallelism: one pool task per query, each running the
    full sequential pipeline on whichever domain picks it up.  Every

@@ -23,6 +23,7 @@ type result = {
   graph : Hypergraph.Graph.t;
   plan : Plans.Plan.t;
   counters : Core.Counters.t;
+  dp_entries : int;  (** DP/memo table size of the winning run *)
   tier : Core.Adaptive.tier option;
       (** which adaptive rung produced the plan; [None] unless
           [algo = Adaptive] *)
@@ -117,17 +118,35 @@ val optimize_tree :
     recorder gain the top-3 costliest memo subsets as a provenance
     summary.
 
-    [?tel] is always-on serving telemetry, independent of [?obs]:
-    every request records into the
-    [joinopt_optimize_latency_seconds{algo,cache,result}] histogram,
-    its depth-0 phases into
-    [joinopt_phase_latency_seconds{phase}], per-tier latencies (when
-    adaptive) into [joinopt_tier_latency_seconds{tier}], and a flat
-    entry — fingerprint, relations, tier, cache outcome, pairs, wall
-    clock, allocation — into the registry's flight recorder, which
-    keeps the full span tree for requests over the slow threshold.
-    Requests that fail before a hypergraph exists (invalid tree,
-    unparseable SQL) record nothing. *)
+    [?tel] is always-on serving telemetry, independent of [?obs]
+    (without [?obs] the request collects its spans privately).
+    Everything is derived from the request's own spans and result:
+    the request's wall clock goes into
+    [joinopt_optimize_latency_seconds{algo,cache,result}], its
+    depth-0 spans into [joinopt_phase_latency_seconds{phase}], its
+    [tier:<name>] spans (adaptive) into
+    [joinopt_tier_latency_seconds{tier}], and the [d<i>_merge_ms]
+    attributes of a parallel enumeration's [enumerate:dphyp-par] span
+    into [joinopt_parallel_merge_seconds{domain}].  A flat entry —
+    fingerprint, relations, tier, cache outcome, pairs, wall clock,
+    this domain's allocation — goes into the registry's flight
+    recorder, which keeps the full span tree for requests over the
+    slow threshold.  A cache hit or coalesced wait is recorded with
+    0 pairs (it enumerated nothing), though its result carries the
+    cached counters.  Requests that fail before a hypergraph exists
+    (invalid tree, unparseable SQL) record nothing. *)
+
+val prepare :
+  ?obs:Obs.Span.ctx ->
+  ?conservative:bool ->
+  Relalg.Optree.t ->
+  (Relalg.Optree.t * Hypergraph.Graph.t, string) Result.t
+(** The front half of {!optimize_tree} under {!Tes_literal} (or
+    {!Tes_conservative} when [conservative]): validate, simplify,
+    analyze conflicts and derive the hypergraph, under the same
+    spans.  Returns the simplified tree and its graph, for callers
+    that adjust the graph (e.g. calibrate it on data) before handing
+    it to {!optimize_graph}. *)
 
 val optimize_sql :
   ?obs:Obs.Span.ctx ->

@@ -191,8 +191,7 @@ let eval_stats ?obs inst tree =
   Obs.Span.with_opt obs "execute" (fun sp ->
       let tbl = Hashtbl.create 32 in
       let envs = eval_i (Some tbl) inst ~outer:Env.empty tree in
-      (* report in postorder (children before parents), the order the
-         quadratic Stats.per_node historically used *)
+      (* report in postorder (children before parents) *)
       let out = ref [] in
       let rec walk t =
         (match t with

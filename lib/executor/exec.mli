@@ -46,8 +46,7 @@ val eval_stats :
   Env.t list * op_stat list
 (** Evaluate a closed tree while collecting per-operator runtime
     statistics in the {e same} single pass (the executed tree is not
-    re-evaluated per node — see [Stats.per_node] for the historical
-    quadratic contract this replaces).  Statistics are reported in
+    re-evaluated per node).  Statistics are reported in
     postorder, children before parents, leaves included.  [?obs]
     wraps the run in an ["execute"] span annotated with result rows,
     operator count and total predicate evaluations. *)

@@ -1,26 +1,7 @@
-module Ot = Relalg.Optree
-
-type node_stat = { tables : Nodeset.Node_set.t; rows : int }
-
-(* Thin wrapper over the single-pass collector in [Exec.eval_stats]:
-   one evaluation of the whole tree fills every node's counters, where
-   the historical implementation re-ran [Exec.eval] per subtree
-   (quadratic in tree size, exponential under dependent joins).  For
-   trees without dependent operators the reported row counts are
-   identical to an independent re-evaluation of each subtree — pinned
-   by a qcheck property in test/test_executor.ml.  Under a dependent
-   join a subtree's count is now the total over all its invocations,
-   which is what actually flowed through the operator. *)
-let per_node inst tree =
-  let _, stats = Exec.eval_stats inst tree in
-  List.filter_map
-    (fun (s : Exec.op_stat) ->
-      match s.op with
-      | None -> None
-      | Some _ -> Some { tables = s.tables; rows = s.rows_out })
-    stats
-
-let actual_cout inst tree =
+let cout stats =
   List.fold_left
-    (fun s (st : node_stat) -> s +. float_of_int st.rows)
-    0.0 (per_node inst tree)
+    (fun s (st : Exec.op_stat) ->
+      if st.op = None then s else s +. float_of_int st.rows_out)
+    0.0 stats
+
+let actual_cout inst tree = cout (snd (Exec.eval_stats inst tree))

@@ -6,20 +6,12 @@
     against (benchmark [xqual] and the estimation tests do exactly
     that). *)
 
-type node_stat = {
-  tables : Nodeset.Node_set.t;  (** relations covered by the subtree *)
-  rows : int;  (** actual output rows of the subtree *)
-}
+val cout : Exec.op_stat list -> float
+(** Sum of [rows_out] over the interior operators of one
+    {!Exec.eval_stats} run (base-table scans excluded, matching the
+    C_out model's treatment of scans as free). *)
 
 val actual_cout : Instance.t -> Relalg.Optree.t -> float
-(** Sum of actual intermediate result sizes over all interior
-    operators (base-table scans excluded, matching the C_out model's
-    treatment of scans as free). *)
-
-val per_node : Instance.t -> Relalg.Optree.t -> node_stat list
-(** Actual cardinality of every interior operator, post order.
-    A thin wrapper over {!Exec.eval_stats}: one single-pass execution
-    fills every node's count (the historical implementation
-    re-evaluated each subtree independently, quadratic in tree size).
-    Under a dependent join a subtree's count is the total across all
-    its invocations. *)
+(** [cout] of one single-pass execution of the tree.  Under a
+    dependent join a subtree counts the total across all its
+    invocations. *)

@@ -18,7 +18,7 @@ type span = {
   start_s : float;  (** seconds since the owning collector's epoch *)
   dur_s : float;  (** wall-clock duration in seconds *)
   minor_words : float;
-      (** [Gc.quick_stat] minor-allocation delta across the span,
+      (** this domain's [Gc.minor_words] delta across the span,
           children included *)
   major_words : float;  (** major-heap allocation delta *)
   attrs : (string * value) list;  (** in the order they were set *)

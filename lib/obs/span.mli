@@ -3,7 +3,7 @@
     A {!ctx} is a collector created around one optimizer run.  Every
     {!with_} call times a phase (parse, simplify, conflict analysis,
     enumeration, an IDP round, an adaptive tier attempt, ...),
-    captures the [Gc.quick_stat] allocation delta, records the
+    captures the allocation delta, records the
     completed span in the collector, and forwards it to the
     collector's {!Sink.t}.
 

@@ -178,7 +178,7 @@ let shard_iter f = function
 
 (* ---- the three phases -------------------------------------------- *)
 
-let run_parallel ?obs ?tel ~model ?filter ?budget ~pool g =
+let run_parallel ?obs ~model ?filter ?budget ~pool g =
   let jobs = Pool.jobs pool in
   let n = G.num_nodes g in
   Obs.Span.with_opt obs "enumerate:dphyp-par" (fun sp ->
@@ -231,8 +231,8 @@ let run_parallel ?obs ?tel ~model ?filter ?budget ~pool g =
       let shard = shard_create g in
       let stripes = Array.init num_stripes (fun _ -> Mutex.create ()) in
       (* Per-domain emit/merge time: each worker accumulates into its
-         own slot (race-free), recorded into the telemetry histogram
-         after the last layer barrier. *)
+         own slot (race-free), reported as span attributes after the
+         last layer barrier. *)
       let merge_s = Array.make jobs 0.0 in
       Ns.iter (fun v -> shard_add shard stripes 0 (Plan.scan g v))
         (G.all_nodes g);
@@ -303,19 +303,6 @@ let run_parallel ?obs ?tel ~model ?filter ?budget ~pool g =
       let dp = Dp.create_for g in
       shard_iter (Dp.force dp) shard;
       Array.iter (fun c -> Core.Counters.absorb ~into:parent c) forks;
-      (match tel with
-      | None -> ()
-      | Some tel ->
-          Array.iteri
-            (fun i s ->
-              if s > 0.0 then
-                Obs.Export.observe_s tel
-                  ~help:
-                    "Per-domain seconds spent merging buffered pairs into \
-                     the sharded DP table"
-                  ~labels:[ ("domain", string_of_int i) ]
-                  "joinopt_parallel_merge_seconds" s)
-            merge_s);
       (match sp with
       | None -> ()
       | Some sp ->
@@ -329,7 +316,10 @@ let run_parallel ?obs ?tel ~model ?filter ?budget ~pool g =
             (fun i (c : Core.Counters.t) ->
               Obs.Span.set sp
                 (Printf.sprintf "d%d_pairs" i)
-                (Obs.Span.Int c.pairs_considered))
+                (Obs.Span.Int c.pairs_considered);
+              Obs.Span.set sp
+                (Printf.sprintf "d%d_merge_ms" i)
+                (Obs.Span.Float (merge_s.(i) *. 1000.)))
             forks);
       {
         Core.Optimizer.plan = Dp.find dp (G.all_nodes g);
@@ -339,12 +329,11 @@ let run_parallel ?obs ?tel ~model ?filter ?budget ~pool g =
         attempts = [];
       })
 
-let run ?obs ?tel ?(model = Costing.Cost_model.c_out) ?filter ?budget ~pool g
-    =
+let run ?obs ?(model = Costing.Cost_model.c_out) ?filter ?budget ~pool g =
   (* Wide graphs (n beyond the single-word width) don't fit the
      pair-packing scheme of the parallel replay, and exhaustive DP is
      not what anyone runs at that scale anyway — dispatch sequential
      and let the adaptive ladder's partitioned tier do its job. *)
   if Pool.jobs pool <= 1 || G.num_nodes g > Ns.small_capacity then
-    Core.Optimizer.run ?obs ?tel ~model ?filter ?budget Core.Optimizer.Dphyp g
-  else run_parallel ?obs ?tel ~model ?filter ?budget ~pool g
+    Core.Optimizer.run ?obs ~model ?filter ?budget Core.Optimizer.Dphyp g
+  else run_parallel ?obs ~model ?filter ?budget ~pool g

@@ -33,7 +33,6 @@
 
 val run :
   ?obs:Obs.Span.ctx ->
-  ?tel:Obs.Export.t ->
   ?model:Costing.Cost_model.t ->
   ?filter:Core.Emit.filter ->
   ?budget:int ->
@@ -44,9 +43,9 @@ val run :
     single-domain pool this dispatches to the sequential
     {!Core.Optimizer.run}, so [--jobs 1] is the unmodified algorithm.
     [?obs] records an ["enumerate:dphyp-par"] span with per-phase
-    child spans and pool/per-domain attributes.  [?tel] records each
-    worker domain's pair-merge time into the
-    [joinopt_parallel_merge_seconds{domain=...}] histogram.
+    child spans and pool/per-domain attributes: [d<i>_pairs] (pairs
+    domain [i] considered) and [d<i>_merge_ms] (its time merging
+    buffered pairs into the sharded table).
     @raise Core.Counters.Budget_exhausted when [?budget] is spent. *)
 
 val connected_weakly :

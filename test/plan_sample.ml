@@ -14,7 +14,7 @@ let shuffle rng l =
 
 let random_plan ?(model = Costing.Cost_model.c_out) ~seed g =
   let rng = Random.State.make [| 524287; seed |] in
-  let counters = Counters.create () in
+  let counters = Core.Counters.create () in
   let conn = Hypergraph.Connectivity.make_cache g in
   let rec build s =
     if Ns.is_singleton s then Some (Plans.Plan.scan g (Ns.min_elt s))
@@ -37,7 +37,7 @@ let random_plan ?(model = Costing.Cost_model.c_out) ~seed g =
         | (s1, s2) :: rest -> (
             match build s1, build s2 with
             | Some p1, Some p2 -> (
-                match Emit.candidates ~model ~counters g p1 p2 with
+                match Core.Emit.candidates ~model ~counters g p1 p2 with
                 | [] -> try_parts rest
                 | cands ->
                     Some (List.nth cands (Random.State.int rng (List.length cands)))

@@ -470,7 +470,7 @@ let test_sampled_plans_never_beat_optimum () =
               (Printf.sprintf "%s sample %d: optimum <= sample" name i)
               true
               (opt <= c +. 1e-9))
-          (Core.Plan_sample.sample_costs ~seeds:(List.init 8 Fun.id) g)
+          (Plan_sample.sample_costs ~seeds:(List.init 8 Fun.id) g)
       end)
     (graphs_under_test ())
 
@@ -480,7 +480,7 @@ let test_sampled_plans_structurally_valid () =
       if G.num_nodes g <= 8 then
         List.iter
           (fun seed ->
-            match Core.Plan_sample.random_plan ~seed g with
+            match Plan_sample.random_plan ~seed g with
             | None -> Alcotest.failf "%s: no sampled plan" name
             | Some p -> (
                 check (name ^ ": covers all") true
@@ -499,7 +499,7 @@ let test_sampling_diversity () =
   let g = Workloads.Shapes.clique 5 in
   let plans =
     List.filter_map
-      (fun seed -> Core.Plan_sample.random_plan ~seed g)
+      (fun seed -> Plan_sample.random_plan ~seed g)
       (List.init 12 Fun.id)
   in
   let distinct =

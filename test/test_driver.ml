@@ -148,6 +148,83 @@ let test_profile_adaptive_ladder () =
                p.Obs.Metrics.spans))
 
 (* ------------------------------------------------------------------ *)
+(* serving telemetry                                                   *)
+
+let hist_count tel name labels =
+  Obs.Histogram.count
+    (Obs.Histogram.snapshot (Obs.Export.histogram tel ~labels name))
+
+let test_tel_series () =
+  (* what one request of each kind leaves in the registry: the tier,
+     merge, phase and latency series and one recorder entry apiece *)
+  let tel = Obs.Export.create () in
+  let ok = function Ok _ -> () | Error m -> Alcotest.fail m in
+  ok (D.optimize_graph ~tel ~algo:Core.Optimizer.Adaptive
+        (Workloads.Shapes.chain 6));
+  ok (D.optimize_graph ~tel ~jobs:2 (Workloads.Shapes.cycle 8));
+  ok (D.optimize_sql ~tel sample_sql);
+  Alcotest.(check int) "adaptive exact-tier sample" 1
+    (hist_count tel "joinopt_tier_latency_seconds" [ ("tier", "exact") ]);
+  check "parallel merge series" true
+    (List.exists
+       (fun d ->
+         hist_count tel "joinopt_parallel_merge_seconds"
+           [ ("domain", string_of_int d) ]
+         > 0)
+       [ 0; 1 ]);
+  List.iter
+    (fun (phase, n) ->
+      Alcotest.(check int) ("phase " ^ phase) n
+        (hist_count tel "joinopt_phase_latency_seconds" [ ("phase", phase) ]))
+    [
+      ("enumerate", 3);
+      ("plan-emit", 2);
+      ("simplify", 1);
+      ("conflict-analysis", 1);
+      ("hypergraph-derive", 1);
+      ("parse", 0);
+    ];
+  Alcotest.(check int) "adaptive latency sample" 1
+    (hist_count tel "joinopt_optimize_latency_seconds"
+       [ ("algo", "adaptive"); ("cache", "none"); ("result", "ok") ]);
+  Alcotest.(check int) "one recorder entry per request" 3
+    (Obs.Recorder.recorded (Obs.Export.recorder tel))
+
+let test_tel_minor_words () =
+  (* the recorder charges a request the words it allocated itself,
+     even when no minor collection happens in between *)
+  let tel = Obs.Export.create () in
+  Gc.minor ();
+  (match D.optimize_graph ~tel (Workloads.Shapes.chain 3) with
+  | Ok _ -> ()
+  | Error m -> Alcotest.fail m);
+  match Obs.Recorder.to_list (Obs.Export.recorder tel) with
+  | [ q ] -> check "minor words recorded" true (q.Obs.Recorder.minor_words > 0.0)
+  | _ -> Alcotest.fail "expected one recorder entry"
+
+let test_tel_hit_pairs () =
+  (* a cache hit enumerates nothing: its recorder entry says so, while
+     the result still carries the cached counters byte for byte *)
+  let tel = Obs.Export.create () and cache = D.make_cache ~capacity:4 () in
+  let g = Workloads.Shapes.cycle 6 in
+  let run () =
+    match D.optimize_graph ~tel ~cache g with
+    | Ok r -> r
+    | Error m -> Alcotest.fail m
+  in
+  let miss = run () in
+  let hit = run () in
+  check "counters identical" true
+    (Marshal.to_string miss.D.counters [] = Marshal.to_string hit.D.counters []);
+  match Obs.Recorder.to_list (Obs.Export.recorder tel) with
+  | [ m; h ] ->
+      Alcotest.(check (option string)) "miss" (Some "miss") m.Obs.Recorder.cache;
+      Alcotest.(check (option string)) "hit" (Some "hit") h.Obs.Recorder.cache;
+      check "miss charged its pairs" true (m.Obs.Recorder.pairs > 0);
+      Alcotest.(check int) "hit charged nothing" 0 h.Obs.Recorder.pairs
+  | _ -> Alcotest.fail "expected two recorder entries"
+
+(* ------------------------------------------------------------------ *)
 (* EXPLAIN ANALYZE                                                     *)
 
 module A = Driver.Analyze
@@ -193,17 +270,39 @@ let test_analyze_exact_delta_one () =
   check "delta 1.0" true (rep.A.quality_delta = Some 1.0)
 
 let test_analyze_per_node_consistency () =
-  (* the report's per-operator actuals must agree with the standalone
-     Stats.per_node contract on the same instance *)
+  (* the report's per-operator actuals and C_out must agree with an
+     independent Exec.eval_stats run of its plan on the same instance *)
   let rep = analyze_ok analyze_sql in
-  let sum_join_rows =
-    List.fold_left
-      (fun acc (r : A.op_row) ->
-        if r.A.is_join then acc + r.A.actual_rows else acc)
-      0 rep.A.rows
+  let bound =
+    match Sqlfront.Binder.parse_and_bind analyze_sql with
+    | Ok b -> b
+    | Error m -> Alcotest.fail m
   in
-  Alcotest.(check (float 1e-9)) "measured C_out = sum of join actuals"
-    rep.A.measured_cout (float_of_int sum_join_rows)
+  let tree, g0 =
+    match D.prepare bound.Sqlfront.Binder.tree with
+    | Ok tg -> tg
+    | Error m -> Alcotest.fail m
+  in
+  let inst = Executor.Instance.for_tree ~rows:6 ~domain:4 ~seed:7 tree in
+  let g = Executor.Estimate.calibrate ~seed:7 inst g0 in
+  let _, stats =
+    Executor.Exec.eval_stats inst (Plans.Plan.to_optree g rep.A.plan)
+  in
+  List.iter
+    (fun (r : A.op_row) ->
+      match
+        List.find_opt
+          (fun (s : Executor.Exec.op_stat) ->
+            Nodeset.Node_set.equal s.Executor.Exec.tables r.A.tables)
+          stats
+      with
+      | Some s ->
+          Alcotest.(check int) "operator rows" s.Executor.Exec.rows_out
+            r.A.actual_rows
+      | None -> Alcotest.fail "operator missing from eval_stats")
+    rep.A.rows;
+  Alcotest.(check (float 1e-9)) "measured C_out = eval_stats C_out"
+    (Executor.Stats.cout stats) rep.A.measured_cout
 
 let test_analyze_profile_quality () =
   let ctx = Obs.Span.create () in
@@ -293,5 +392,13 @@ let () =
           Alcotest.test_case "obs_analyze/v1 shape" `Quick
             test_analyze_json_schema;
           Alcotest.test_case "errors" `Quick test_analyze_errors;
+        ] );
+      ( "serving",
+        [
+          Alcotest.test_case "telemetry series" `Quick test_tel_series;
+          Alcotest.test_case "recorder minor words" `Quick
+            test_tel_minor_words;
+          Alcotest.test_case "cache hits charge no pairs" `Quick
+            test_tel_hit_pairs;
         ] );
     ]
