@@ -1,28 +1,21 @@
-(* Budgeted adaptive-optimization benchmark (BENCH_adaptive.json).
+(* Budgeted adaptive optimization (suite adaptive, BENCH_adaptive.json;
+   experiment xadaptive prints the same points as a table).
 
-   One record per (graph, pair budget): which rung of the adaptive
+   One point per (graph, pair budget): which rung of the adaptive
    ladder (exact DPhyp → IDP-k → GOO) answered, how long it took, how
    much of the budget it spent, and — where exact DP is cheap enough
    to run as a reference — how far the returned plan is from the true
-   optimum.  The headline smoke point is the 20-relation clique under
-   a 50k-pair budget: exact enumeration needs millions of pairs there,
-   so the run MUST finish on a fallback tier; tools/bench_smoke.sh
-   fails if it ever reports "exact" (budget not enforced) or crashes
-   (ladder broken). *)
+   optimum.  The headline point is the 20-relation clique under a
+   50k-pair budget: exact enumeration needs millions of pairs there,
+   so the run must finish on a fallback tier; the suite aborts if it
+   answers "exact" (budget not enforced). *)
 
 module Opt = Core.Optimizer
 module G = Hypergraph.Graph
 
-type point = {
-  name : string;
-  graph : G.t;
-  budget : int option;
-  exact_ref : bool;  (** run unbudgeted DPhyp as a cost reference *)
-}
-
-let points ~quick =
+let graphs ~quick =
   let p ?budget ?(exact_ref = false) name graph =
-    { name; graph; budget; exact_ref }
+    (name, graph, budget, exact_ref)
   in
   [
     p "cycle-9" (Workloads.Shapes.cycle 9) ~exact_ref:true;
@@ -41,118 +34,40 @@ let points ~quick =
         ~budget:20_000;
     ]
 
-type record = {
-  name : string;
-  relations : int;
-  budget : int option;
-  tier : string;
-  ms : float;
-  pairs : int;
-  cost : float;
-  cost_vs_exact : float option;  (** plan cost / exact optimum cost *)
-}
-
-let run_point (pt : point) =
+(* [exact_ref]: run unbudgeted DPhyp as a cost reference. *)
+let point (name, g, budget, exact_ref) =
   let ms, result =
-    Bench_util.time_ms (fun () ->
-        Opt.run ?budget:pt.budget Opt.Adaptive pt.graph)
+    Bench_util.time_ms (fun () -> Opt.run ?budget Opt.Adaptive g)
   in
   let cost =
     match result.Opt.plan with Some p -> p.Plans.Plan.cost | None -> nan
   in
   let cost_vs_exact =
-    if pt.exact_ref then
-      match (Opt.run Opt.Dphyp pt.graph).Opt.plan with
-      | Some p -> Some (cost /. p.Plans.Plan.cost)
-      | None -> None
-    else None
+    match if exact_ref then (Opt.run Opt.Dphyp g).Opt.plan else None with
+    | Some p -> Bench_util.Num (cost /. p.Plans.Plan.cost)
+    | None -> Bench_util.Null
   in
-  {
-    name = pt.name;
-    relations = G.num_nodes pt.graph;
-    budget = pt.budget;
-    tier =
-      (match result.Opt.tier with
-      | Some t -> Core.Adaptive.tier_name t
-      | None -> "?");
-    ms;
-    pairs = result.Opt.counters.Core.Counters.pairs_considered;
-    cost;
-    cost_vs_exact;
-  }
+  Bench_util.
+    [
+      ("graph", Str name);
+      ("relations", Int (G.num_nodes g));
+      ("budget", match budget with Some b -> Int b | None -> Null);
+      ("tier", Str (tier result));
+      ("ms", Num ms);
+      ("pairs", Int result.Opt.counters.Core.Counters.pairs_considered);
+      ("cost", Num cost);
+      ("cost_vs_exact", cost_vs_exact);
+    ]
 
-let records ~quick = List.map run_point (points ~quick)
-
-let table ~quick () =
-  Bench_util.header
-    "X11: adaptive optimization under a pair budget (DPhyp -> IDP -> GOO)";
-  let rows =
-    List.map
-      (fun r ->
-        [
-          r.name;
-          string_of_int r.relations;
-          (match r.budget with Some b -> string_of_int b | None -> "inf");
-          r.tier;
-          Bench_util.fmt_ms r.ms;
-          string_of_int r.pairs;
-          Printf.sprintf "%.3g" r.cost;
-          (match r.cost_vs_exact with
-          | Some q -> Printf.sprintf "%.4f" q
-          | None -> "-");
-        ])
-      (records ~quick)
+let run ~quick ~path =
+  let points = Bench_util.measure_points point (graphs ~quick) in
+  let tier =
+    List.assoc "tier"
+      (List.find
+         (fun p -> List.assoc "graph" p = Bench_util.Str "clique-20")
+         points)
   in
-  Bench_util.print_table
-    ~columns:
-      [
-        "graph"; "rels"; "budget"; "tier"; "ms"; "pairs"; "C_out";
-        "cost/exact";
-      ]
-    ~rows
-
-let json_of_record r =
-  Printf.sprintf
-    "    {\"graph\": %S, \"relations\": %d, \"budget\": %s, \"tier\": %S, \
-     \"ms\": %.4f, \"pairs\": %d, \"cost\": %.6g, \"cost_vs_exact\": %s}"
-    r.name r.relations
-    (match r.budget with Some b -> string_of_int b | None -> "null")
-    r.tier r.ms r.pairs r.cost
-    (match r.cost_vs_exact with
-    | Some q -> Printf.sprintf "%.6f" q
-    | None -> "null")
-
-let write_json ~quick ~path () =
-  Printf.printf "Adaptive benchmarks (%s mode) -> %s\n"
-    (if quick then "quick" else "full")
-    path;
-  let rs = records ~quick in
-  List.iter
-    (fun r ->
-      Printf.printf "  %-12s rels=%-3d budget=%-8s tier=%-8s %8s ms  %9d pairs\n"
-        r.name r.relations
-        (match r.budget with Some b -> string_of_int b | None -> "inf")
-        r.tier (Bench_util.fmt_ms r.ms) r.pairs;
-      flush stdout)
-    rs;
-  let clique20 =
-    match List.find_opt (fun r -> r.name = "clique-20") rs with
-    | Some r -> r.tier
-    | None -> "?"
-  in
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc "{\n";
-      Printf.fprintf oc "  \"schema\": \"bench_adaptive/v1\",\n";
-      Printf.fprintf oc "  \"mode\": %S,\n" (if quick then "quick" else "full");
-      output_string oc "  \"points\": [\n";
-      output_string oc (String.concat ",\n" (List.map json_of_record rs));
-      output_string oc "\n  ],\n";
-      output_string oc "  \"summary\": {\n";
-      Printf.fprintf oc "    \"clique20_budget50k_tier\": %S\n" clique20;
-      output_string oc "  }\n}\n");
-  Printf.printf "clique-20 under 50k-pair budget answered on tier: %s\n"
-    clique20;
-  flush stdout
+  if tier = Bench_util.Str "exact" then
+    Bench_util.die "adaptive: clique-20 under a 50k-pair budget answered exact";
+  Bench_util.write_ledger ~quick ~path ~suite:"adaptive" ~points
+    [ ("clique20_budget50k_tier", tier) ]

@@ -1,199 +1,130 @@
-(* Plan-cache replay benchmark (BENCH_cache.json).
+(* Serving benchmarks over the Zipf replay stream of
+   Bench_util.replay_workload: suites cache, cache.cold and telemetry.
 
-   Optimizer-as-a-service traffic: a Zipf-skewed replay stream over a
-   universe of star-query templates (Workloads.Replay), served by a
-   Driver.Pipeline plan cache from a warm Domain pool at jobs 1/2/4.
-   Cold is the per-plan cost without a cache (one full enumeration per
-   template); warm is the per-request cost of replaying the stream
-   against a fully resident cache — every request a hit.  The run
-   aborts (exit 2) if any cache hit returns a plan whose rendering or
-   cost differs from a fresh uncached enumeration: a cache that serves
-   approximate plans is not a cache, it is a bug.
+   cache (BENCH_cache.json, BENCH_cache_cold.json): cold is the
+   per-plan cost without a cache (one full enumeration per template);
+   warm is the per-request cost of replaying the stream against a
+   fully resident cache from a warm Domain pool at jobs 1/2/4 — every
+   request a hit.  The run aborts if any cache hit returns a plan whose
+   rendering or cost differs from a fresh uncached enumeration: a
+   cache that serves approximate plans is not a cache, it is a bug.
+   The cache summary carries the warm jobs=1 per-request wall clock
+   under "<workload>_replay_ms", its cache.cold companion the cold
+   per-plan wall clock under the same key, so a 0.02 gate between
+   them is "warm hit throughput at least 50x cold".
 
-   Two files come out of one run:
-     <path>      schema bench_cache/v1, the full record set; its
-                 "summary" carries the *warm* jobs=1 per-request wall
-                 clock under one "<workload>_replay_ms" key (plus
-                 hit-ratio and throughput keys that exist only here).
-     <path minus extension>_cold.json
-                 schema bench_cache_cold/v1; its "summary" carries the
-                 *cold* per-plan wall clock under the same key.
-   tools/bench_diff.exe diffs only the shared keys, so
-     bench_diff --threshold 0.02 <cold> <path>
-   enforces "warm hit throughput at least 50x cold" — the acceptance
-   gate of the caching layer. *)
+   telemetry (TELEMETRY_replay.json): the same stream served by the
+   adaptive optimizer with the always-on registry attached; the
+   document is the registry's obs_telemetry/v1 snapshot (latency
+   histograms, cache-labeled counters, per-shard gauges, the slowest
+   requests with their span trees). *)
 
-module G = Hypergraph.Graph
 module R = Workloads.Replay
 module Pc = Cache.Plan_cache
 
 let jobs_levels = [ 1; 2; 4 ]
 
-(* Quick mode must keep @bench-smoke fast yet leave the 50x gate real
-   headroom: star-12 costs ~10 ms cold, a hit costs tens of
-   microseconds, so the ratio clears 50x by an order of magnitude
-   while four cold enumerations stay under a tenth of a second.  Full
-   mode is the acceptance workload: the paper's 16-relation star. *)
-let workload ~quick =
-  if quick then
-    ("star12", R.star ~satellites:11 ~variants:4 ~length:120 ())
-  else ("star16", R.star ~satellites:15 ~variants:8 ~length:400 ())
+let optimize_or_die ?cache g =
+  match Driver.Pipeline.optimize_graph ?cache g with
+  | Ok r -> r
+  | Error m -> Bench_util.die "cache: optimize_graph failed: %s" m
 
 let plan_fingerprint (r : Driver.Pipeline.result) =
   Printf.sprintf "%s cost=%.17g" (Plans.Plan.to_string r.plan)
     r.plan.Plans.Plan.cost
 
-let optimize_or_die ?cache g =
-  match Driver.Pipeline.optimize_graph ?cache g with
-  | Ok r -> r
-  | Error m ->
-      Printf.eprintf "cache_bench: optimize_graph failed: %s\n" m;
-      exit 2
-
-(* Every template, cached hit vs fresh uncached run: byte-identical
-   plan rendering and cost, or the benchmark refuses to report a
-   throughput number for wrong answers. *)
-let check_identical cache w =
-  Array.iteri
-    (fun i g ->
-      let cached = optimize_or_die ~cache g in
-      let fresh = optimize_or_die g in
-      if plan_fingerprint cached <> plan_fingerprint fresh then begin
-        Printf.eprintf
-          "cache_bench: variant %d cached plan differs from uncached\n  \
-           cached: %s\n  fresh:  %s\n"
-          i (plan_fingerprint cached) (plan_fingerprint fresh);
-        exit 2
-      end)
-    w.R.universe
-
-(* Replay the whole request stream through the cache on a pool.  The
-   result array keeps every request's outcome live so the optimizer
-   work cannot be dead-code-eliminated, and lets the caller assert
-   success. *)
-let replay pool cache w =
-  let n = Array.length w.R.requests in
-  let ok = Atomic.make true in
-  Parallel.Pool.run_fun pool n (fun i _wid ->
-      match Driver.Pipeline.optimize_graph ~cache (R.graph w i) with
-      | Ok _ -> ()
-      | Error _ -> Atomic.set ok false);
-  if not (Atomic.get ok) then begin
-    Printf.eprintf "cache_bench: a replayed request failed\n";
-    exit 2
-  end
-
-type record = {
-  jobs : int;
-  warm_ms_per_req : float;
-  warm_plans_per_sec : float;
-}
-
-let write_json ~quick ~path () =
-  let mode = if quick then "quick" else "full" in
-  let name, w = workload ~quick in
+let run ~quick ~path =
+  let name, w = Bench_util.replay_workload ~quick in
   let variants = Array.length w.R.universe in
-  let length = Array.length w.R.requests in
-  Printf.printf
-    "Plan-cache replay benchmarks (%s mode) -> %s\n\
-    \  workload %s: %d variants, %d requests, zipf skew\n"
-    mode path name variants length;
-  flush stdout;
-  (* cold: one full enumeration per template, no cache *)
+  let requests = Array.length w.R.requests in
   Gc.compact ();
   let cold_total_ms, () =
     Bench_util.time_ms (fun () ->
         Array.iter (fun g -> ignore (optimize_or_die g)) w.R.universe)
   in
   let cold_ms = cold_total_ms /. float_of_int variants in
-  Printf.printf "  cold  %8s ms/plan  (%d enumerations)\n"
-    (Bench_util.fmt_ms cold_ms) variants;
-  flush stdout;
-  (* one cache serves every jobs level — capacity comfortably above
-     the universe so the warm phase never evicts *)
+  (* capacity comfortably above the universe: the warm phase never
+     evicts *)
   let cache = Driver.Pipeline.make_cache ~capacity:(2 * variants) () in
   Array.iter (fun g -> ignore (optimize_or_die ~cache g)) w.R.universe;
-  check_identical cache w;
-  let records =
-    List.map
-      (fun jobs ->
-        Parallel.Pool.with_pool ~jobs (fun pool ->
-            (* unmeasured warmup replay, then best of three *)
-            replay pool cache w;
-            let best = ref infinity in
-            for _ = 1 to 3 do
-              let ms, () = Bench_util.time_ms (fun () -> replay pool cache w) in
-              if ms < !best then best := ms
-            done;
-            let per_req = !best /. float_of_int length in
-            let pps = 1000.0 /. per_req in
-            Printf.printf
-              "  warm  jobs=%d  %8s ms/request  %10.0f plans/sec  (%.0fx cold)\n"
-              jobs
-              (Bench_util.fmt_ms per_req)
-              pps (cold_ms /. per_req);
-            flush stdout;
-            { jobs; warm_ms_per_req = per_req; warm_plans_per_sec = pps }))
-      jobs_levels
+  Array.iteri
+    (fun i g ->
+      let cached = optimize_or_die ~cache g and fresh = optimize_or_die g in
+      if plan_fingerprint cached <> plan_fingerprint fresh then
+        Bench_util.die
+          "cache: variant %d cached plan differs from uncached\n  \
+           cached: %s\n  fresh:  %s"
+          i (plan_fingerprint cached) (plan_fingerprint fresh))
+    w.R.universe;
+  let warm jobs =
+    Parallel.Pool.with_pool ~jobs (fun pool ->
+        (* unmeasured warmup replay *)
+        Bench_util.replay pool cache w;
+        let ms, () =
+          Bench_util.time_best (fun () -> Bench_util.replay pool cache w)
+        in
+        let per_req = ms /. float_of_int requests in
+        Bench_util.
+          [
+            ("jobs", Int jobs);
+            ("ms_per_request", Num per_req);
+            ("plans_per_sec", Num (1000.0 /. per_req));
+            ("speedup_vs_cold", Num (cold_ms /. per_req));
+          ])
   in
+  let points = Bench_util.measure_points warm jobs_levels in
   let s = Pc.stats cache in
-  let served = s.Pc.hits + s.Pc.misses + s.Pc.coalesced in
-  let hit_ratio =
-    if served = 0 then 0.0
-    else float_of_int (s.Pc.hits + s.Pc.coalesced) /. float_of_int served
+  let key = name ^ "_replay_ms" in
+  Bench_util.write_ledger ~quick ~path ~suite:"cache" ~points
+    Bench_util.
+      [
+        (key, List.assoc "ms_per_request" (List.hd points));
+        ( "hit_ratio",
+          Num
+            (Obs.Export.hit_ratio ~hits:s.Pc.hits ~coalesced:s.Pc.coalesced
+               ~misses:s.Pc.misses) );
+        ("warm_plans_per_sec_j1", List.assoc "plans_per_sec" (List.hd points));
+        ("hits", Int s.Pc.hits);
+        ("misses", Int s.Pc.misses);
+        ("coalesced", Int s.Pc.coalesced);
+        ("evictions", Int s.Pc.evictions);
+        ("entries", Int s.Pc.entries);
+        ("capacity", Int s.Pc.capacity);
+      ];
+  Bench_util.write_ledger ~quick ~path ~suite:"cache.cold"
+    ~points:
+      Bench_util.
+        [
+          [
+            ("workload", Str name);
+            ("variants", Int variants);
+            ("requests", Int requests);
+            ("ms_per_plan", Num cold_ms);
+          ];
+        ]
+    [ (key, Bench_util.Num cold_ms) ]
+
+(* Promotion threshold: comfortably above a warm cache hit (tens of
+   microseconds) and below a cold enumeration of the workload's star
+   (~10 ms at 12 relations, far more at 16), so the promoted requests
+   are exactly the misses.  The ring is sized to the stream, so the
+   snapshot's top-k can name the cold misses however late the stream
+   runs. *)
+let telemetry ~quick ~path =
+  let _, w = Bench_util.replay_workload ~quick in
+  let tel =
+    Obs.Export.create
+      ~recorder_capacity:(2 * Array.length w.R.requests)
+      ~slow_s:(if quick then 1e-3 else 1e-2)
+      ()
   in
-  Printf.printf "  cache: %s  hit_ratio %.4f\n"
-    (Format.asprintf "%a" Pc.pp_stats s)
-    hit_ratio;
-  let warm1 =
-    (List.find (fun r -> r.jobs = 1) records).warm_ms_per_req
+  let cache =
+    Driver.Pipeline.make_cache ~capacity:(2 * Array.length w.R.universe) ()
   in
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc "{\n";
-      Printf.fprintf oc "  \"schema\": \"bench_cache/v1\",\n";
-      Printf.fprintf oc "  \"mode\": %S,\n" mode;
-      Printf.fprintf oc "  \"workload\": %S,\n" name;
-      Printf.fprintf oc "  \"variants\": %d,\n" variants;
-      Printf.fprintf oc "  \"requests\": %d,\n" length;
-      Printf.fprintf oc "  \"cold_ms_per_plan\": %.4f,\n" cold_ms;
-      Printf.fprintf oc "  \"cache\": {\"hits\": %d, \"misses\": %d, \
-                         \"coalesced\": %d, \"evictions\": %d, \
-                         \"entries\": %d, \"capacity\": %d},\n"
-        s.Pc.hits s.Pc.misses s.Pc.coalesced s.Pc.evictions s.Pc.entries
-        s.Pc.capacity;
-      output_string oc "  \"warm\": [\n";
-      output_string oc
-        (String.concat ",\n"
-           (List.map
-              (fun r ->
-                Printf.sprintf
-                  "    {\"jobs\": %d, \"ms_per_request\": %.6f, \
-                   \"plans_per_sec\": %.1f, \"speedup_vs_cold\": %.1f}"
-                  r.jobs r.warm_ms_per_req r.warm_plans_per_sec
-                  (cold_ms /. r.warm_ms_per_req))
-              records));
-      output_string oc "\n  ],\n";
-      output_string oc "  \"summary\": {\n";
-      Printf.fprintf oc "    \"%s_replay_ms\": %.6f,\n" name warm1;
-      Printf.fprintf oc "    \"hit_ratio\": %.4f,\n" hit_ratio;
-      Printf.fprintf oc "    \"warm_plans_per_sec_j1\": %.1f\n"
-        (List.find (fun r -> r.jobs = 1) records).warm_plans_per_sec;
-      output_string oc "  }\n}\n");
-  let cold_path =
-    Filename.remove_extension path ^ "_cold" ^ Filename.extension path
-  in
-  let oc = open_out cold_path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc "{\n";
-      Printf.fprintf oc "  \"schema\": \"bench_cache_cold/v1\",\n";
-      Printf.fprintf oc "  \"mode\": %S,\n" mode;
-      output_string oc "  \"summary\": {\n";
-      Printf.fprintf oc "    \"%s_replay_ms\": %.4f\n" name cold_ms;
-      output_string oc "  }\n}\n");
-  Printf.printf "wrote %s and %s\n" path cold_path;
-  flush stdout
+  Gc.compact ();
+  Parallel.Pool.with_pool ~jobs:4 (fun pool ->
+      Bench_util.replay ~tel ~algo:Core.Optimizer.Adaptive pool cache w);
+  Driver.Pipeline.export_cache_stats tel cache;
+  Bench_util.write path (Obs.Export.to_json ~top:5 tel);
+  Obs.Export.print_stats ~top:5 Format.std_formatter tel;
+  Format.pp_print_flush Format.std_formatter ()

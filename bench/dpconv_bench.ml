@@ -1,34 +1,25 @@
-(* Subset-convolution vs exact DPhyp benchmark (BENCH_dpconv.json).
+(* Subset convolution vs exact DPhyp (suites dpconv and dpconv.dphyp,
+   BENCH_dpconv.json and BENCH_dpconv_dphyp.json).
 
-   One record per dense graph: DPconv's exact-C_max time (the Õ(2^n)
+   One point per dense graph: DPconv's exact-C_max time (the Õ(2^n)
    subset-convolution pipeline), its certified C_out-bound time, and
    the Θ(3^n) DPhyp reference on the same graph — the wall the
    convolution is supposed to break.  Every dpconv plan is
    Plan_check-verified and the C_out bound is checked against the
    DPhyp optimum (a certified bound below the optimum is a correctness
-   bug); the emitter aborts on the first violation, so a green run
+   bug); the bench aborts on the first violation, so a green run
    really measured valid plans.
 
-   Writes two documents with IDENTICAL summary keys
-   (<clique>_cmax_ms):
-
-     FILE             bench_dpconv/v1        dpconv C_max times
-     FILE_dphyp.json  bench_dpconv_dphyp/v1  DPhyp times, same graphs
-
-   so `bench_diff --threshold R FILE_dphyp.json FILE` gates the
-   speedup: the run fails unless dpconv is at least 1/R times faster
-   than DPhyp on the clique points (committed full-mode gate: 10x at
-   clique-16; quick-mode smoke gate: 2x on the small cliques). *)
+   Both documents carry the clique points under identical summary
+   keys (<clique>_cmax_ms): dpconv the C_max times, dpconv.dphyp the
+   DPhyp times.  A gate of R between them fails unless dpconv is at
+   least 1/R times faster than DPhyp (committed full mode: 10x, the
+   2^n / 3^n gap opened up at clique-16; quick mode: 2x on the small
+   cliques). *)
 
 module Opt = Core.Optimizer
 module Dc = Core.Dpconv
 module G = Hypergraph.Graph
-
-type point = {
-  name : string;
-  key : string option;  (** summary/gate key; [None] = report only *)
-  graph : G.t;
-}
 
 (* Random simple graph at ~60% of the complete graph's edges — dense
    enough for the adaptive conv tier's gate, irregular enough to
@@ -37,163 +28,76 @@ let dense_random ~seed n =
   let extra = n * (n - 1) / 2 * 6 / 10 in
   Workloads.Random_graphs.simple ~seed ~n ~extra_edges:extra ()
 
-let points ~quick =
-  let p ?key name graph = { name; key; graph } in
+(* (name, summary key, graph); a [None] key is reported, not gated. *)
+let graphs ~quick =
   [
-    p "clique-10" ~key:"clique10" (Workloads.Shapes.clique 10);
-    p "clique-12" ~key:"clique12" (Workloads.Shapes.clique 12);
-    p "dense-12" (dense_random ~seed:421 12);
+    ("clique-10", Some "clique10", Workloads.Shapes.clique 10);
+    ("clique-12", Some "clique12", Workloads.Shapes.clique 12);
+    ("dense-12", None, dense_random ~seed:421 12);
   ]
   @
   if quick then []
   else
     [
-      p "clique-14" ~key:"clique14" (Workloads.Shapes.clique 14);
-      p "clique-16" ~key:"clique16" (Workloads.Shapes.clique 16);
-      p "dense-14" (dense_random ~seed:422 14);
-      p "dense-16" (dense_random ~seed:423 16);
+      ("clique-14", Some "clique14", Workloads.Shapes.clique 14);
+      ("clique-16", Some "clique16", Workloads.Shapes.clique 16);
+      ("dense-14", None, dense_random ~seed:422 14);
+      ("dense-16", None, dense_random ~seed:423 16);
     ]
 
-type record = {
-  name : string;
-  key : string option;
-  relations : int;
-  edges : int;
-  cmax_ms : float;
-  cmax : float;  (** the exact bottleneck optimum *)
-  feasible : int;  (** connected subsets within the optimal threshold *)
-  cout_ms : float;
-  bound : float;  (** certified C_out upper bound *)
-  dphyp_ms : float;
-  exact_cost : float;  (** DPhyp's C_out optimum *)
-}
-
-let die fmt = Printf.ksprintf (fun m -> prerr_endline m; exit 1) fmt
-
-let checked_plan ~what g (o : Dc.outcome) =
-  match o.Dc.plan with
-  | None -> die "%s: dpconv returned no plan" what
-  | Some p -> (
-      match Plans.Plan_check.check g p with
-      | [] -> p
-      | issues ->
-          die "%s: dpconv plan fails Plan_check: %s" what
-            (String.concat "; "
-               (List.map Plans.Plan_check.issue_to_string issues)))
-
-let run_point (pt : point) =
-  let g = pt.graph in
+let point (name, _, g) =
   let cmax_ms, cmax_o =
     Bench_util.time_ms (fun () -> Dc.solve ~objective:Dc.Cmax g)
   in
-  ignore (checked_plan ~what:(pt.name ^ "/cmax") g cmax_o);
+  ignore (Bench_util.checked_plan ~what:(name ^ "/cmax") g cmax_o.Dc.plan);
   let cout_ms, cout_o =
     Bench_util.time_ms (fun () -> Dc.solve ~objective:Dc.Cout_bound g)
   in
-  let cout_plan = checked_plan ~what:(pt.name ^ "/cout-bound") g cout_o in
-  let dphyp_ms, dphyp_r =
-    Bench_util.time_ms (fun () -> Opt.run Opt.Dphyp g)
+  let cout_plan =
+    Bench_util.checked_plan ~what:(name ^ "/cout-bound") g cout_o.Dc.plan
   in
-  let exact_cost =
+  let dphyp_ms, dphyp_r = Bench_util.time_ms (fun () -> Opt.run Opt.Dphyp g) in
+  let exact =
     match dphyp_r.Opt.plan with
     | Some p -> p.Plans.Plan.cost
-    | None -> die "%s: dphyp returned no plan" pt.name
+    | None -> Bench_util.die "%s: dphyp returned no plan" name
   in
-  if cout_o.Dc.bound < exact_cost *. (1.0 -. 1e-9) then
-    die "%s: certified C_out bound %.6g below the DPhyp optimum %.6g" pt.name
-      cout_o.Dc.bound exact_cost;
-  let close a b = Float.abs (a -. b) <= 1e-9 *. Float.max (Float.abs a) 1.0 in
-  if not (close cout_o.Dc.bound cout_plan.Plans.Plan.cost) then
-    die "%s: bound %.6g is not the witness plan's cost %.6g" pt.name
-      cout_o.Dc.bound cout_plan.Plans.Plan.cost;
-  {
-    name = pt.name;
-    key = pt.key;
-    relations = G.num_nodes g;
-    edges = G.num_edges g;
-    cmax_ms;
-    cmax = cmax_o.Dc.cmax;
-    feasible = cmax_o.Dc.feasible;
-    cout_ms;
-    bound = cout_o.Dc.bound;
-    dphyp_ms;
-    exact_cost;
-  }
+  let bound = cout_o.Dc.bound in
+  if bound < exact *. (1.0 -. 1e-9) then
+    Bench_util.die "%s: certified C_out bound %.6g below the DPhyp optimum %.6g"
+      name bound exact;
+  let witness = cout_plan.Plans.Plan.cost in
+  if Float.abs (bound -. witness) > 1e-9 *. Float.max (Float.abs bound) 1.0 then
+    Bench_util.die "%s: bound %.6g is not the witness plan's cost %.6g" name
+      bound witness;
+  Bench_util.
+    [
+      ("graph", Str name);
+      ("relations", Int (G.num_nodes g));
+      ("edges", Int (G.num_edges g));
+      ("cmax_ms", Num cmax_ms);
+      ("cmax", Num cmax_o.Dc.cmax);
+      ("feasible", Int cmax_o.Dc.feasible);
+      ("cout_ms", Num cout_ms);
+      ("bound", Num bound);
+      ("dphyp_ms", Num dphyp_ms);
+      ("exact_cost", Num exact);
+      ("speedup_cmax", Num (dphyp_ms /. cmax_ms));
+      ("bound_vs_exact", Num (bound /. exact));
+    ]
 
-let json_of_record r =
-  Printf.sprintf
-    "    {\"graph\": %S, \"relations\": %d, \"edges\": %d, \"cmax_ms\": \
-     %.4f, \"cmax\": %.6g, \"feasible\": %d, \"cout_ms\": %.4f, \"bound\": \
-     %.6g, \"dphyp_ms\": %.4f, \"exact_cost\": %.6g, \"speedup_cmax\": \
-     %.2f, \"bound_vs_exact\": %.6f}"
-    r.name r.relations r.edges r.cmax_ms r.cmax r.feasible r.cout_ms r.bound
-    r.dphyp_ms r.exact_cost (r.dphyp_ms /. r.cmax_ms)
-    (r.bound /. r.exact_cost)
-
-let dphyp_path path =
-  Filename.remove_extension path ^ "_dphyp" ^ Filename.extension path
-
-let write_json ~quick ~path () =
-  let mode = if quick then "quick" else "full" in
-  Printf.printf
-    "DPconv subset-convolution benchmarks (%s mode) -> %s\n\
-     Exact C_max by ranked subset convolution vs the 3^n DPhyp wall; \
-     certified C_out bounds checked against the exact optimum.\n"
-    mode path;
-  let records =
-    List.map
-      (fun pt ->
-        let r = run_point pt in
-        Printf.printf
-          "  %-10s rels=%-3d edges=%-4d cmax %8s ms  cout-bound %8s ms  \
-           dphyp %10s ms  speedup %7.1fx  bound/exact %.4f\n"
-          r.name r.relations r.edges (Bench_util.fmt_ms r.cmax_ms)
-          (Bench_util.fmt_ms r.cout_ms)
-          (Bench_util.fmt_ms r.dphyp_ms)
-          (r.dphyp_ms /. r.cmax_ms)
-          (r.bound /. r.exact_cost);
-        flush stdout;
-        r)
-      (points ~quick)
+let run ~quick ~path =
+  let graphs = graphs ~quick in
+  let points = Bench_util.measure_points point graphs in
+  let summary field =
+    List.concat
+      (List.map2
+         (fun (_, key, _) p ->
+           match key with
+           | Some k -> [ (k ^ "_cmax_ms", List.assoc field p) ]
+           | None -> [])
+         graphs points)
   in
-  let gated = List.filter (fun r -> r.key <> None) records in
-  let summary value =
-    String.concat ",\n"
-      (List.map
-         (fun r ->
-           Printf.sprintf "    \"%s_cmax_ms\": %.4f" (Option.get r.key)
-             (value r))
-         gated)
-  in
-  let write p schema value =
-    let oc = open_out p in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () ->
-        output_string oc "{\n";
-        Printf.fprintf oc "  \"schema\": %S,\n" schema;
-        Printf.fprintf oc "  \"mode\": %S,\n" mode;
-        output_string oc "  \"points\": [\n";
-        output_string oc
-          (String.concat ",\n" (List.map json_of_record records));
-        output_string oc "\n  ],\n";
-        output_string oc "  \"summary\": {\n";
-        output_string oc (summary value);
-        output_string oc "\n  }\n}\n")
-  in
-  write path "bench_dpconv/v1" (fun r -> r.cmax_ms);
-  (* the DPhyp companion: same summary keys, DPhyp times — the
-     bench_diff baseline for the speedup gate *)
-  write (dphyp_path path) "bench_dpconv_dphyp/v1" (fun r -> r.dphyp_ms);
-  let geomean =
-    exp
-      (List.fold_left
-         (fun acc r -> acc +. log (r.cmax_ms /. r.dphyp_ms))
-         0.0 gated
-      /. float_of_int (List.length gated))
-  in
-  Printf.printf
-    "geomean dpconv/dphyp time ratio on clique points: %.4f (%.1fx faster)\n"
-    geomean (1.0 /. geomean);
-  Printf.printf "wrote %s and %s\n" path (dphyp_path path);
-  flush stdout
+  Bench_util.write_ledger ~quick ~path ~suite:"dpconv" ~points (summary "cmax_ms");
+  Bench_util.write_ledger ~quick ~path ~suite:"dpconv.dphyp" ~points
+    (summary "dphyp_ms")

@@ -520,13 +520,15 @@ let xspace ~quick:_ () =
   in
   print_table ~columns:[ "graph"; "#csg"; "#ccp"; "#join trees" ] ~rows
 
-(* X11: the budgeted adaptive ladder (full implementation in
-   bench/adaptive_bench.ml, shared with the --adaptive-json writer) *)
-let xadaptive ~quick () = Adaptive_bench.table ~quick ()
+(* X11: the budgeted adaptive ladder — the adaptive suite's points *)
+let xadaptive ~quick () =
+  header "X11: adaptive optimization under a pair budget (DPhyp -> IDP -> GOO)";
+  print_points (List.map Adaptive_bench.point (Adaptive_bench.graphs ~quick))
 
-(* X12: the 100+ relation partitioned tier (full implementation in
-   bench/large_bench.ml, shared with the --large-json writer) *)
-let xlarge ~quick () = Large_bench.table ~quick ()
+(* X12: the 100+ relation partitioned tier — the large suite's points *)
+let xlarge ~quick () =
+  header "X12: the large-query tier past the 62-relation single-word ceiling";
+  print_points (List.map Large_bench.point (Large_bench.graphs ~quick))
 
 let all_experiments =
   [
@@ -552,4 +554,24 @@ let all_experiments =
     ("xspace", xspace);
     ("xadaptive", xadaptive);
     ("xlarge", xlarge);
+  ]
+
+(* The suites behind [--json FILE SUITE [FAMILY...]]: each writes one
+   ledger document to FILE (plus its companions, see
+   Bench_util.write_ledger); only the dphyp suites take families. *)
+let all_suites =
+  let whole run ~quick ~path = function
+    | [] -> run ~quick ~path
+    | _ -> die "this suite takes no FAMILY"
+  in
+  [
+    ("dphyp", Dphyp_bench.run ~telemetry:false);
+    ("dphyp-telemetry", Dphyp_bench.run ~telemetry:true);
+    ("adaptive", whole Adaptive_bench.run);
+    ("parallel", whole Parallel_bench.run);
+    ("cache", whole Cache_bench.run);
+    ("telemetry", whole Cache_bench.telemetry);
+    ("dpconv", whole Dpconv_bench.run);
+    ("large", whole Large_bench.run);
+    ("profile", whole Profile_bench.run);
   ]

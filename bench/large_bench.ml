@@ -1,146 +1,60 @@
-(* Large-query tier benchmarks (BENCH_large.json).
+(* Large-query tier (suite large, BENCH_large.json; experiment xlarge
+   prints the same points as a table).
 
-   One record per 100-1000 relation graph pushed through the adaptive
+   One point per 100-1000 relation graph pushed through the adaptive
    optimizer, which routes everything wider than
    Node_set.small_capacity to the partitioned tier (greedy clustering
    -> per-block exact DPhyp -> IDP-k stitch).  Every returned plan is
-   Plan_check-verified and the bench ABORTS on the first invalid one —
+   Plan_check-verified and the bench aborts on the first invalid one —
    a large-tier plan that references a node twice or drops a relation
-   must never make it into a committed baseline.  The headline smoke
-   point is the 128-relation star: it exceeds the historic single-word
+   must never make it into a committed baseline.  The headline point
+   is the 128-relation star: it exceeds the historic single-word
    ceiling by more than 2x and its hub-and-spokes shape is the worst
    case for the clustering (satellites can only ever merge with the
-   hub), so it exercises the IDP stitch absorbing singletons. *)
+   hub), so it exercises the IDP stitch absorbing singletons.  C_out
+   overflows double at these widths; a non-finite cost is written as
+   null. *)
 
 module Opt = Core.Optimizer
 module G = Hypergraph.Graph
 
-type point = { name : string; graph : G.t Lazy.t }
-
-let points ~quick =
-  let p name graph = { name; graph } in
+let graphs ~quick =
   [
-    p "star-127" (lazy (Workloads.Shapes.star 127));
-    p "chain-256" (lazy (Workloads.Shapes.chain 256));
-    p "snowflake-100" (lazy (Workloads.Shapes.snowflake_n 100));
+    ("star-127", lazy (Workloads.Shapes.star 127));
+    ("chain-256", lazy (Workloads.Shapes.chain 256));
+    ("snowflake-100", lazy (Workloads.Shapes.snowflake_n 100));
   ]
   @
   if quick then []
   else
     [
-      p "chain-512" (lazy (Workloads.Shapes.chain 512));
-      p "grid-16x16" (lazy (Workloads.Shapes.grid ~rows:16 ~cols:16 ()));
-      p "snowflake-341" (lazy (Workloads.Shapes.snowflake_n 341));
-      p "snowflake-991" (lazy (Workloads.Shapes.snowflake_n 991));
+      ("chain-512", lazy (Workloads.Shapes.chain 512));
+      ("grid-16x16", lazy (Workloads.Shapes.grid ~rows:16 ~cols:16 ()));
+      ("snowflake-341", lazy (Workloads.Shapes.snowflake_n 341));
+      ("snowflake-991", lazy (Workloads.Shapes.snowflake_n 991));
     ]
 
-type record = {
-  name : string;
-  relations : int;
-  edges : int;
-  tier : string;
-  ms : float;
-  pairs : int;
-  cost : float;  (** C_out; may overflow to [infinity] at these widths *)
-}
-
-let run_point (pt : point) =
-  let g = Lazy.force pt.graph in
+let point (name, g) =
+  let g = Lazy.force g in
   let ms, result = Bench_util.time_ms (fun () -> Opt.run Opt.Adaptive g) in
-  let plan =
-    match result.Opt.plan with
-    | Some p -> p
-    | None ->
-        Printf.eprintf "FATAL: %s: adaptive returned no plan\n" pt.name;
-        exit 1
-  in
-  (match Plans.Plan_check.check g plan with
-  | [] -> ()
-  | issues ->
-      Printf.eprintf "FATAL: %s: invalid large-tier plan:\n" pt.name;
-      List.iter
-        (fun i ->
-          Printf.eprintf "  %s\n" (Plans.Plan_check.issue_to_string i))
-        issues;
-      exit 1);
-  {
-    name = pt.name;
-    relations = G.num_nodes g;
-    edges = Array.length (G.edges g);
-    tier =
-      (match result.Opt.tier with
-      | Some t -> Core.Adaptive.tier_name t
-      | None -> "?");
-    ms;
-    pairs = result.Opt.counters.Core.Counters.pairs_considered;
-    cost = plan.Plans.Plan.cost;
-  }
+  let plan = Bench_util.checked_plan ~what:name g result.Opt.plan in
+  Bench_util.
+    [
+      ("graph", Str name);
+      ("relations", Int (G.num_nodes g));
+      ("edges", Int (Array.length (G.edges g)));
+      ("tier", Str (tier result));
+      ("ms", Num ms);
+      ("pairs", Int result.Opt.counters.Core.Counters.pairs_considered);
+      ("cost", Num plan.Plans.Plan.cost);
+    ]
 
-let records ~quick = List.map run_point (points ~quick)
-
-let table ~quick () =
-  Bench_util.header
-    "X12: the large-query tier past the 62-relation single-word ceiling";
-  let rows =
-    List.map
-      (fun r ->
-        [
-          r.name;
-          string_of_int r.relations;
-          string_of_int r.edges;
-          r.tier;
-          Bench_util.fmt_ms r.ms;
-          string_of_int r.pairs;
-          Printf.sprintf "%.3g" r.cost;
-        ])
-      (records ~quick)
-  in
-  Bench_util.print_table
-    ~columns:[ "graph"; "rels"; "edges"; "tier"; "ms"; "pairs"; "C_out" ]
-    ~rows
-
-(* C_out overflows double at hundreds of relations; JSON has no inf,
-   so non-finite costs are written as null (the plans themselves are
-   still Plan_check-verified above). *)
-let json_cost c =
-  if Float.is_finite c then Printf.sprintf "%.6g" c else "null"
-
-let json_of_record r =
-  Printf.sprintf
-    "    {\"graph\": %S, \"relations\": %d, \"edges\": %d, \"tier\": %S, \
-     \"ms\": %.4f, \"pairs\": %d, \"cost\": %s}"
-    r.name r.relations r.edges r.tier r.ms r.pairs (json_cost r.cost)
-
-let write_json ~quick ~path () =
-  Printf.printf "Large-query benchmarks (%s mode) -> %s\n"
-    (if quick then "quick" else "full")
-    path;
-  let rs = records ~quick in
-  List.iter
-    (fun r ->
-      Printf.printf "  %-14s rels=%-4d tier=%-12s %8s ms  %9d pairs\n" r.name
-        r.relations r.tier (Bench_util.fmt_ms r.ms) r.pairs;
-      flush stdout)
-    rs;
-  let key r =
-    String.map (function '-' -> '_' | c -> c) r.name ^ "_ms"
-  in
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc "{\n";
-      Printf.fprintf oc "  \"schema\": \"bench_large/v1\",\n";
-      Printf.fprintf oc "  \"mode\": %S,\n" (if quick then "quick" else "full");
-      output_string oc "  \"points\": [\n";
-      output_string oc (String.concat ",\n" (List.map json_of_record rs));
-      output_string oc "\n  ],\n";
-      output_string oc "  \"summary\": {\n";
-      output_string oc
-        (String.concat ",\n"
-           (List.map
-              (fun r -> Printf.sprintf "    %S: %.4f" (key r) r.ms)
-              rs));
-      output_string oc "\n  }\n}\n");
-  Printf.printf "all %d large-tier plans Plan_check-valid\n" (List.length rs);
-  flush stdout
+let run ~quick ~path =
+  let graphs = graphs ~quick in
+  let points = Bench_util.measure_points point graphs in
+  Bench_util.write_ledger ~quick ~path ~suite:"large" ~points
+    (List.map2
+       (fun (name, _) p ->
+         ( String.map (function '-' -> '_' | c -> c) name ^ "_ms",
+           List.assoc "ms" p ))
+       graphs points)

@@ -1,266 +1,57 @@
 (* Benchmark driver.
 
-   Usage:
-     dune exec bench/main.exe                 run every experiment
-     dune exec bench/main.exe -- fig5b fig8a  run selected experiments
-     dune exec bench/main.exe -- --quick      trim the slowest points
-     dune exec bench/main.exe -- --bechamel   Bechamel micro-benchmarks
-                                              (one Test.make per table/figure)
-     dune exec bench/main.exe -- --csv DIR    additionally write each table
-                                              as DIR/<experiment>.csv
-     dune exec bench/main.exe -- --json FILE  machine-readable perf suite:
-                                              DPhyp ns/pair figures on the
-                                              hyperedge split families, written
-                                              as JSON (see bench/json_bench.ml)
-     dune exec bench/main.exe -- --adaptive-json FILE
-                                              budgeted adaptive ladder points
-                                              (tier, time, budget spent), as
-                                              JSON (see bench/adaptive_bench.ml)
-     dune exec bench/main.exe -- --profile-json FILE
-                                              per-experiment pipeline profiles
-                                              (obs_profile/v1 spans + counters,
-                                              see bench/profile_bench.ml)
-     dune exec bench/main.exe -- --parallel-json FILE
-                                              domain-parallel DPhyp at
-                                              jobs 1/2/4 vs sequential, plus
-                                              a FILE_seq.json companion for
-                                              the bench_diff jobs=1 gate
-                                              (see bench/parallel_bench.ml)
-     dune exec bench/main.exe -- --cache-json FILE
-                                              plan-cache replay throughput
-                                              (cold vs warm at jobs 1/2/4),
-                                              plus a FILE_cold.json companion
-                                              for the bench_diff 50x warm-hit
-                                              gate (see bench/cache_bench.ml)
-     dune exec bench/main.exe -- --dpconv-json FILE
-                                              subset-convolution DP (exact
-                                              C_max + certified C_out bound)
-                                              vs the DPhyp 3^n wall on dense
-                                              graphs, plus a FILE_dphyp.json
-                                              companion for the bench_diff
-                                              speedup gate
-                                              (see bench/dpconv_bench.ml)
-     dune exec bench/main.exe -- --large-json FILE
-                                              100-1000 relation graphs through
-                                              the adaptive optimizer's
-                                              partitioned tier, every plan
-                                              Plan_check-verified
-                                              (see bench/large_bench.ml)
-     dune exec bench/main.exe -- --telemetry-json FILE
-                                              Zipf replay served with always-on
-                                              telemetry; FILE is the registry's
-                                              obs_telemetry/v1 snapshot
-                                              (see bench/telemetry_bench.ml)
-     dune exec bench/main.exe -- --telemetry  with --json: pay the per-request
-                                              telemetry overhead (fingerprint +
-                                              histogram + flight recorder)
-                                              inside every measured run, for
-                                              the bench_diff 5% overhead gate
+     main.exe [--quick] [--csv DIR] [--json FILE SUITE [FAMILY...]]
+              [EXPERIMENT...]
 
-   Experiment names: table1 fig5a fig5b table2 fig6a fig6b fig7 fig8a
-   fig8b ccp xchain xclique xgen xgoo xtopdown xtpch xmem xcdc xqual
-   xspace xadaptive xlarge. *)
+   Without --json it prints the paper's tables and figures (every
+   experiment, or the named ones); --quick trims the slowest points
+   and --csv DIR additionally writes each table as DIR/<slug>.csv.
+   With --json it runs one suite of Experiments.all_suites and writes
+   its bench/v1 ledger document to FILE (see Bench_util.write_ledger);
+   the dphyp suites take optional FAMILY names.  Bad input exits 2
+   with the known names. *)
 
-let run_experiments ~quick names =
-  let todo =
-    match names with
-    | [] -> Experiments.all_experiments
-    | names ->
-        List.map
-          (fun n ->
-            match List.assoc_opt n Experiments.all_experiments with
-            | Some f -> (n, f)
-            | None ->
-                Printf.eprintf "unknown experiment %S; known: %s\n" n
-                  (String.concat ", "
-                     (List.map fst Experiments.all_experiments));
-                exit 2)
-          names
-  in
-  Printf.printf
-    "DPhyp reproduction benchmarks (%s mode)\n\
-     Shapes to compare with the paper: who wins, by what factor, where the \
-     curves cross.\n"
-    (if quick then "quick" else "full");
-  List.iter (fun (_, f) -> f ~quick ()) todo
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks: representative (smaller) instances of
-   each table/figure, one Test.make per experiment.                    *)
-
-let bechamel_tests () =
-  let open Bechamel in
-  let opt algo g () = ignore (Core.Optimizer.run algo g) in
-  let cycle8_h0 = List.hd (Workloads.Splits.cycle_based 8) in
-  let cycle8_last = List.nth (Workloads.Splits.cycle_based 8) 3 in
-  let star8_h0 = List.hd (Workloads.Splits.star_based 8) in
-  let star8_last = List.nth (Workloads.Splits.star_based 8) 3 in
-  let star10 = Workloads.Shapes.star 9 in
-  let fig8a_graph k =
-    let tree = Workloads.Noninner.star_antijoins ~n_rel:12 ~k () in
-    Conflicts.Derive.hypergraph
-      (Conflicts.Analysis.analyze ~conservative:true tree)
-  in
-  let fig8b_graph k =
-    let tree = Workloads.Noninner.cycle_outerjoins ~n_rel:12 ~k () in
-    Conflicts.Derive.hypergraph
-      (Conflicts.Analysis.analyze ~conservative:true tree)
-  in
-  [
-    Test.make ~name:"table1-dphyp-cycle4"
-      (Staged.stage (opt Core.Optimizer.Dphyp (List.hd (Workloads.Splits.cycle_based 4))));
-    Test.make ~name:"fig5-dphyp-cycle8-split0"
-      (Staged.stage (opt Core.Optimizer.Dphyp cycle8_h0));
-    Test.make ~name:"fig5-dpsize-cycle8-split0"
-      (Staged.stage (opt Core.Optimizer.Dpsize cycle8_h0));
-    Test.make ~name:"fig5-dpsub-cycle8-split0"
-      (Staged.stage (opt Core.Optimizer.Dpsub cycle8_h0));
-    Test.make ~name:"fig5-dphyp-cycle8-split3"
-      (Staged.stage (opt Core.Optimizer.Dphyp cycle8_last));
-    Test.make ~name:"table2-dphyp-star4"
-      (Staged.stage (opt Core.Optimizer.Dphyp (List.hd (Workloads.Splits.star_based 4))));
-    Test.make ~name:"fig6-dphyp-star8-split0"
-      (Staged.stage (opt Core.Optimizer.Dphyp star8_h0));
-    Test.make ~name:"fig6-dpsize-star8-split0"
-      (Staged.stage (opt Core.Optimizer.Dpsize star8_h0));
-    Test.make ~name:"fig6-dphyp-star8-split3"
-      (Staged.stage (opt Core.Optimizer.Dphyp star8_last));
-    Test.make ~name:"fig7-dphyp-star10"
-      (Staged.stage (opt Core.Optimizer.Dphyp star10));
-    Test.make ~name:"fig7-dpsize-star10"
-      (Staged.stage (opt Core.Optimizer.Dpsize star10));
-    Test.make ~name:"fig7-dpsub-star10"
-      (Staged.stage (opt Core.Optimizer.Dpsub star10));
-    Test.make ~name:"fig8a-dphyp-anti6"
-      (Staged.stage (opt Core.Optimizer.Dphyp (fig8a_graph 6)));
-    Test.make ~name:"fig8a-dphyp-anti11"
-      (Staged.stage (opt Core.Optimizer.Dphyp (fig8a_graph 11)));
-    Test.make ~name:"fig8b-dphyp-outer6"
-      (Staged.stage (opt Core.Optimizer.Dphyp (fig8b_graph 6)));
-    Test.make ~name:"fig8b-dpsize-outer6"
-      (Staged.stage (opt Core.Optimizer.Dpsize (fig8b_graph 6)));
-  ]
-
-let run_bechamel () =
-  let open Bechamel in
-  let open Toolkit in
-  let tests =
-    Test.make_grouped ~name:"paper" ~fmt:"%s-%s" (bechamel_tests ())
-  in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:Measure.[| run |]
-  in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~stabilize:true ()
-  in
-  let raw = Benchmark.all cfg instances tests in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  Printf.printf "\nBechamel micro-benchmarks (monotonic clock, ns/run)\n";
-  Printf.printf "%-45s %18s %10s\n" "benchmark" "ns/run" "r^2";
-  Hashtbl.fold (fun name ols acc -> (name, ols) :: acc) results []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  |> List.iter (fun (name, ols) ->
-         let est =
-           match Analyze.OLS.estimates ols with
-           | Some [ e ] -> Printf.sprintf "%18.1f" e
-           | _ -> Printf.sprintf "%18s" "-"
-         in
-         let r2 =
-           match Analyze.OLS.r_square ols with
-           | Some r -> Printf.sprintf "%10.4f" r
-           | None -> Printf.sprintf "%10s" "-"
-         in
-         Printf.printf "%-45s %s %s\n" name est r2)
+let usage () =
+  Bench_util.die
+    "usage: main.exe [--quick] [--csv DIR] [--json FILE SUITE [FAMILY...]] \
+     [EXPERIMENT...]\n\
+     suites: %s\n\
+     experiments: %s"
+    (String.concat ", " (List.map fst Experiments.all_suites))
+    (String.concat ", " (List.map fst Experiments.all_experiments))
 
 let () =
-  let args = List.tl (Array.to_list Sys.argv) in
-  let quick = List.mem "--quick" args in
-  let bechamel = List.mem "--bechamel" args in
-  let rec csv = function
-    | "--csv" :: dir :: _ -> Some dir
-    | _ :: rest -> csv rest
-    | [] -> None
+  let quick = ref false and json = ref None and names = ref [] in
+  let rec parse = function
+    | [] -> ()
+    | "--quick" :: rest ->
+        quick := true;
+        parse rest
+    | "--csv" :: dir :: rest ->
+        Bench_util.csv_dir := Some dir;
+        parse rest
+    | "--json" :: path :: suite :: rest when !json = None && suite.[0] <> '-' ->
+        json := Some (path, suite);
+        parse rest
+    | name :: rest when name <> "" && name.[0] <> '-' ->
+        names := name :: !names;
+        parse rest
+    | _ -> usage ()
   in
-  Bench_util.csv_dir := csv args;
-  let rec json = function
-    | "--json" :: path :: _ -> Some path
-    | _ :: rest -> json rest
-    | [] -> None
-  in
-  let rec adaptive_json = function
-    | "--adaptive-json" :: path :: _ -> Some path
-    | _ :: rest -> adaptive_json rest
-    | [] -> None
-  in
-  let rec profile_json = function
-    | "--profile-json" :: path :: _ -> Some path
-    | _ :: rest -> profile_json rest
-    | [] -> None
-  in
-  let rec parallel_json = function
-    | "--parallel-json" :: path :: _ -> Some path
-    | _ :: rest -> parallel_json rest
-    | [] -> None
-  in
-  let rec cache_json = function
-    | "--cache-json" :: path :: _ -> Some path
-    | _ :: rest -> cache_json rest
-    | [] -> None
-  in
-  let rec large_json = function
-    | "--large-json" :: path :: _ -> Some path
-    | _ :: rest -> large_json rest
-    | [] -> None
-  in
-  let rec dpconv_json = function
-    | "--dpconv-json" :: path :: _ -> Some path
-    | _ :: rest -> dpconv_json rest
-    | [] -> None
-  in
-  let rec telemetry_json = function
-    | "--telemetry-json" :: path :: _ -> Some path
-    | _ :: rest -> telemetry_json rest
-    | [] -> None
-  in
-  let telemetry = List.mem "--telemetry" args in
-  let rec positional = function
-    | "--csv" :: _ :: rest | "--json" :: _ :: rest
-    | "--adaptive-json" :: _ :: rest | "--profile-json" :: _ :: rest
-    | "--parallel-json" :: _ :: rest | "--cache-json" :: _ :: rest
-    | "--large-json" :: _ :: rest | "--telemetry-json" :: _ :: rest
-    | "--dpconv-json" :: _ :: rest ->
-        positional rest
-    | a :: rest when String.length a > 0 && a.[0] <> '-' -> a :: positional rest
-    | _ :: rest -> positional rest
-    | [] -> []
-  in
-  let names = positional args in
-  match
-    ( json args,
-      adaptive_json args,
-      profile_json args,
-      parallel_json args,
-      cache_json args,
-      large_json args,
-      telemetry_json args,
-      dpconv_json args )
-  with
-  | Some path, _, _, _, _, _, _, _ ->
-      Json_bench.run ~telemetry ~quick ~path names
-  | None, Some path, _, _, _, _, _, _ ->
-      Adaptive_bench.write_json ~quick ~path ()
-  | None, None, Some path, _, _, _, _, _ ->
-      Profile_bench.write_json ~quick ~path ()
-  | None, None, None, Some path, _, _, _, _ ->
-      Parallel_bench.write_json ~quick ~path ()
-  | None, None, None, None, Some path, _, _, _ ->
-      Cache_bench.write_json ~quick ~path ()
-  | None, None, None, None, None, Some path, _, _ ->
-      Large_bench.write_json ~quick ~path ()
-  | None, None, None, None, None, None, Some path, _ ->
-      Telemetry_bench.write_json ~quick ~path ()
-  | None, None, None, None, None, None, None, Some path ->
-      Dpconv_bench.write_json ~quick ~path ()
-  | None, None, None, None, None, None, None, None ->
-      if bechamel then run_bechamel () else run_experiments ~quick names
+  parse (List.tl (Array.to_list Sys.argv));
+  let quick = !quick and names = List.rev !names in
+  match !json with
+  | Some (path, suite) -> (
+      match List.assoc_opt suite Experiments.all_suites with
+      | Some run -> run ~quick ~path names
+      | None -> usage ())
+  | None ->
+      let todo =
+        Bench_util.select ~what:"experiment" Experiments.all_experiments names
+      in
+      Printf.printf
+        "DPhyp reproduction benchmarks (%s mode)\n\
+         Shapes to compare with the paper: who wins, by what factor, where \
+         the curves cross.\n"
+        (if quick then "quick" else "full");
+      List.iter (fun (_, f) -> f ~quick ()) todo

@@ -1,44 +1,34 @@
-(* Parallel-enumeration benchmark (BENCH_parallel.json).
+(* Parallel enumeration (suites parallel and parallel.seq,
+   BENCH_parallel.json and BENCH_parallel_seq.json).
 
    For each workload: sequential DPhyp wall clock next to the
    domain-parallel enumerator at jobs = 1/2/4, with the derived
    speedups and their geometric mean across workloads.  The run
-   aborts (exit 2) if any parallel configuration returns a plan
-   whose cost differs from the sequential one — a speedup from a
-   wrong plan is not a speedup.
+   aborts if any parallel configuration returns a plan whose cost
+   differs from the sequential one — a speedup from a wrong plan is
+   not a speedup.
 
-   Two files come out of one run:
-     <path>      schema bench_parallel/v1, the full record set; its
-                 "summary" carries the jobs=1 wall clocks under
-                 per-workload keys plus the geomean speedups.
-     <path minus extension>_seq.json
-                 schema bench_parallel_seq/v1; its "summary" carries
-                 the *sequential* wall clocks under the same
-                 per-workload keys.
-   tools/bench_diff.exe diffs the shared keys, so
-     bench_diff --threshold 1.05 <seq> <path>
-   enforces "jobs=1 within 5% of the sequential algorithm" — the
-   dispatch overhead gate.  The speedup keys exist only in the main
-   file and are ignored by the diff: wall-clock speedup is a
-   property of the host (see "host_cores"), not of the code, and a
-   1-core container must not fail the build for lacking parallelism
-   the hardware cannot express. *)
+   The parallel summary carries the jobs=1 wall clocks under
+   per-workload keys (plus the geomean speedups); its parallel.seq
+   companion carries the sequential wall clocks under the same keys,
+   so a 1.05 gate between them holds jobs=1 within 5% of the
+   sequential algorithm — the dispatch overhead gate.  The speedup
+   keys exist only in the main document and are not gated: wall-clock
+   speedup is a property of the host (see "host_cores"), not of the
+   code. *)
 
 module Opt = Core.Optimizer
 module G = Hypergraph.Graph
-module P = Parallel.Pool
-module Pd = Parallel.Par_dphyp
 
 let jobs_levels = [ 1; 2; 4 ]
 
-(* The saturation workloads of the acceptance criteria: star-16
-   (hub-and-spokes, emission-bound) and clique-16 (dense, ~21.5M
-   csg-cmp-pairs, the enumeration-bound extreme).  The sub-second
-   star runs go first: measuring them in the minutes after the
-   clique workload has freed its ~1.5 GB of pair buffers picks up
-   the OS-side reclamation cost as phantom whole-factor noise.
-   Quick mode trims both to 10 relations so @bench-smoke stays
-   fast. *)
+(* The saturation workloads: star-16 (hub-and-spokes,
+   emission-bound) and clique-16 (dense, ~21.5M csg-cmp-pairs, the
+   enumeration-bound extreme).  The sub-second star runs go first:
+   measuring them in the minutes after the clique workload has freed
+   its ~1.5 GB of pair buffers picks up the OS-side reclamation cost
+   as phantom whole-factor noise.  Quick mode trims both to 10
+   relations so @bench-smoke stays fast. *)
 let workloads ~quick =
   if quick then
     [
@@ -51,167 +41,62 @@ let workloads ~quick =
       ("clique16", Workloads.Shapes.clique 16);
     ]
 
-type record = {
-  workload : string;
-  relations : int;
-  ccp : int;
-  seq_ms : float;
-  by_jobs : (int * float) list; (* jobs -> ms *)
-}
-
-let speedup r ms = r.seq_ms /. ms
-
-let geomean = function
-  | [] -> nan
-  | xs ->
-      exp (List.fold_left (fun a x -> a +. log x) 0.0 xs
-           /. float_of_int (List.length xs))
-
 let plan_cost (r : Opt.result) =
   match r.plan with Some p -> p.Plans.Plan.cost | None -> nan
 
-(* Sub-second runs on a busy single-core host swing by whole factors
-   with the state of the major heap (growth paid by whoever allocates
-   first, marking debt left by a previous configuration), which would
-   masquerade as dispatch overhead — or dispatch "speedup" — in the
-   jobs=1 gate.  So per workload: compact once, run one unmeasured
-   sequential warmup to re-grow the heap to steady state, then give
-   every configuration the best of three samples.  Workloads whose
-   single run costs minutes (clique-16) skip the warmup and the
-   repeats: at that scale the heap effects are noise. *)
-let long_ms = 10_000.0
-
-let time_best f =
-  let ms1, r = Bench_util.time_ms f in
-  if ms1 > long_ms then (ms1, r)
-  else begin
-    let best = ref ms1 in
-    for _ = 1 to 2 do
-      let ms, _ = Bench_util.time_ms f in
-      if ms < !best then best := ms
-    done;
-    (!best, r)
-  end
-
-let measure_workload (name, g) =
+(* Per workload: compact once, run one unmeasured sequential warmup to
+   re-grow the heap to steady state (a warmup over 10 s is itself the
+   sequential sample), then give every configuration the best of
+   three. *)
+let point (name, g) =
   Gc.compact ();
-  let warm_ms, warm_r = Bench_util.time_ms (fun () -> Opt.run Opt.Dphyp g) in
+  let warm = Bench_util.time_ms (fun () -> Opt.run Opt.Dphyp g) in
   let seq_ms, seq_r =
-    if warm_ms > long_ms then (warm_ms, warm_r)
-    else time_best (fun () -> Opt.run Opt.Dphyp g)
+    if fst warm > 10_000.0 then warm
+    else Bench_util.time_best (fun () -> Opt.run Opt.Dphyp g)
   in
   let seq_cost = plan_cost seq_r in
-  Printf.printf "  %-10s rels=%-3d sequential %8s ms\n" name (G.num_nodes g)
-    (Bench_util.fmt_ms seq_ms);
-  flush stdout;
   let by_jobs =
-    List.map
+    List.concat_map
       (fun jobs ->
-        P.with_pool ~jobs (fun pool ->
-            let ms, r = time_best (fun () -> Pd.run ~pool g) in
-            let cost = plan_cost r in
-            if cost <> seq_cost then begin
-              Printf.eprintf
-                "parallel_bench: %s jobs=%d cost %.17g <> sequential %.17g\n"
-                name jobs cost seq_cost;
-              exit 2
-            end;
-            Printf.printf "  %-10s jobs=%d          %8s ms  speedup %.2fx\n"
-              name jobs (Bench_util.fmt_ms ms)
-              (seq_ms /. ms);
-            flush stdout;
-            (jobs, ms)))
+        Parallel.Pool.with_pool ~jobs (fun pool ->
+            let ms, r =
+              Bench_util.time_best (fun () -> Parallel.Par_dphyp.run ~pool g)
+            in
+            if plan_cost r <> seq_cost then
+              Bench_util.die "parallel: %s jobs=%d cost %.17g <> sequential %.17g"
+                name jobs (plan_cost r) seq_cost;
+            Bench_util.
+              [
+                (Printf.sprintf "ms_j%d" jobs, Num ms);
+                (Printf.sprintf "speedup_j%d" jobs, Num (seq_ms /. ms));
+              ]))
       jobs_levels
   in
-  {
-    workload = name;
-    relations = G.num_nodes g;
-    ccp = seq_r.Opt.counters.Core.Counters.ccp_emitted;
-    seq_ms;
-    by_jobs;
-  }
+  Bench_util.
+    [
+      ("workload", Str name);
+      ("relations", Int (G.num_nodes g));
+      ("ccp", Int seq_r.Opt.counters.Core.Counters.ccp_emitted);
+      ("seq_ms", Num seq_ms);
+    ]
+  @ by_jobs
 
-let json_of_record r =
-  let per_jobs =
-    String.concat ", "
-      (List.map
-         (fun (j, ms) ->
-           Printf.sprintf "\"ms_j%d\": %.4f, \"speedup_j%d\": %.4f" j ms j
-             (speedup r ms))
-         r.by_jobs)
+let run ~quick ~path =
+  let workloads = workloads ~quick in
+  let points = Bench_util.measure_points point workloads in
+  let per_workload key =
+    List.map2 (fun (w, _) p -> (w ^ "_ms", List.assoc key p)) workloads points
   in
-  Printf.sprintf
-    "    {\"workload\": %S, \"relations\": %d, \"ccp\": %d, \"seq_ms\": \
-     %.4f, %s}"
-    r.workload r.relations r.ccp r.seq_ms per_jobs
-
-let seq_path path =
-  Filename.remove_extension path ^ "_seq" ^ Filename.extension path
-
-let write_json ~quick ~path () =
-  let mode = if quick then "quick" else "full" in
-  let host_cores = Domain.recommended_domain_count () in
-  Printf.printf
-    "Parallel enumeration benchmarks (%s mode, host has %d core%s) -> %s\n"
-    mode host_cores
-    (if host_cores = 1 then "" else "s")
-    path;
-  let records = List.map measure_workload (workloads ~quick) in
-  let geomeans =
-    List.map
-      (fun jobs ->
-        ( jobs,
-          geomean
-            (List.map (fun r -> speedup r (List.assoc jobs r.by_jobs)) records)
-        ))
-      jobs_levels
+  let geomean jobs =
+    ( Printf.sprintf "geomean_speedup_j%d" jobs,
+      Bench_util.Num
+        (Bench_util.geomean
+           (List.map
+              (fun p -> Bench_util.field p (Printf.sprintf "speedup_j%d" jobs))
+              points)) )
   in
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc "{\n";
-      Printf.fprintf oc "  \"schema\": \"bench_parallel/v1\",\n";
-      Printf.fprintf oc "  \"mode\": %S,\n" mode;
-      Printf.fprintf oc "  \"host_cores\": %d,\n" host_cores;
-      Printf.fprintf oc "  \"jobs_levels\": [%s],\n"
-        (String.concat ", " (List.map string_of_int jobs_levels));
-      output_string oc "  \"workloads\": [\n";
-      output_string oc (String.concat ",\n" (List.map json_of_record records));
-      output_string oc "\n  ],\n";
-      output_string oc "  \"summary\": {\n";
-      output_string oc
-        (String.concat ",\n"
-           (List.map
-              (fun r ->
-                Printf.sprintf "    \"%s_ms\": %.4f" r.workload
-                  (List.assoc 1 r.by_jobs))
-              records
-           @ List.map
-               (fun (j, g) ->
-                 Printf.sprintf "    \"geomean_speedup_j%d\": %.4f" j g)
-               geomeans));
-      output_string oc "\n  }\n}\n");
-  (* the sequential companion: same summary keys, sequential times *)
-  let sp = seq_path path in
-  let oc = open_out sp in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc "{\n";
-      Printf.fprintf oc "  \"schema\": \"bench_parallel_seq/v1\",\n";
-      Printf.fprintf oc "  \"mode\": %S,\n" mode;
-      Printf.fprintf oc "  \"host_cores\": %d,\n" host_cores;
-      output_string oc "  \"summary\": {\n";
-      output_string oc
-        (String.concat ",\n"
-           (List.map
-              (fun r -> Printf.sprintf "    \"%s_ms\": %.4f" r.workload r.seq_ms)
-              records));
-      output_string oc "\n  }\n}\n");
-  Printf.printf "\ngeomean speedups over sequential:\n";
-  List.iter
-    (fun (j, g) -> Printf.printf "  jobs=%d  %.2fx\n" j g)
-    geomeans;
-  Printf.printf "wrote %s and %s\n" path sp;
-  flush stdout
+  Bench_util.write_ledger ~quick ~path ~suite:"parallel" ~points
+    (per_workload "ms_j1" @ List.map geomean jobs_levels);
+  Bench_util.write_ledger ~quick ~path ~suite:"parallel.seq"
+    (per_workload "seq_ms")

@@ -1,93 +1,52 @@
-(* Per-experiment pipeline profiles (PROFILE_smoke.json).
+(* Per-experiment pipeline profiles (suite profile, PROFILE_smoke.json).
 
    Runs a small, fixed set of representative experiments through
    Driver.Pipeline with an Obs collector and writes one obs_profile/v1
    document: for each experiment the full span tree (per pipeline
    phase, per adaptive tier, per IDP round), the counter snapshot with
-   budget context, the DP-table occupancy and the winning tier.  This
-   is the machine-readable counterpart of `joinopt explain` and the
-   schema that tools/bench_smoke.sh validates against drift — future
-   perf PRs justify their numbers by diffing these profiles.
-
-   Required keys per span: name, depth, start_ms, ms, minor_words,
-   major_words, attrs (one span object per line, see
-   Obs.Sink.span_to_json). *)
+   budget context, the DP-table occupancy and the winning tier — each
+   profile object exactly as Obs.Metrics.to_json renders it for
+   `joinopt`.  This is the machine-readable counterpart of `joinopt
+   explain`; future perf PRs justify their numbers by diffing these
+   profiles. *)
 
 module Opt = Core.Optimizer
-
-type experiment = {
-  name : string;
-  graph : Hypergraph.Graph.t;
-  algo : Opt.algorithm;
-  budget : int option;
-}
 
 (* Three profiles spanning the observability surface: a plain exact
    DPhyp run (single enumerate span), an unbudgeted adaptive run
    (exact tier span), and the clique-20 ladder descent (failed tier
    attempts + per-round IDP spans under a budget). *)
-let experiments ~quick:_ =
+let experiments =
   [
-    {
-      name = "fig6b_star16_s0_dphyp";
-      graph = List.hd (Workloads.Splits.star_based 16);
-      algo = Opt.Dphyp;
-      budget = None;
-    };
-    {
-      name = "cycle9_adaptive_unbudgeted";
-      graph = Workloads.Shapes.cycle 9;
-      algo = Opt.Adaptive;
-      budget = None;
-    };
-    {
-      name = "clique20_adaptive_budget50k";
-      graph = Workloads.Shapes.clique 20;
-      algo = Opt.Adaptive;
-      budget = Some 50_000;
-    };
+    ( "fig6b_star16_s0_dphyp",
+      List.hd (Workloads.Splits.star_based 16),
+      Opt.Dphyp,
+      None );
+    ("cycle9_adaptive_unbudgeted", Workloads.Shapes.cycle 9, Opt.Adaptive, None);
+    ( "clique20_adaptive_budget50k",
+      Workloads.Shapes.clique 20,
+      Opt.Adaptive,
+      Some 50_000 );
   ]
 
-let run_one e =
-  let ctx = Obs.Span.create () in
-  match
-    Driver.Pipeline.optimize_graph ~obs:ctx ~algo:e.algo ?budget:e.budget
-      e.graph
-  with
-  | Ok r -> (
-      match r.Driver.Pipeline.profile with
-      | Some p -> p
-      | None -> failwith (e.name ^ ": pipeline returned no profile"))
-  | Error m -> failwith (e.name ^ ": " ^ m)
+let profile (name, g, algo, budget) =
+  let obs = Obs.Span.create () in
+  match Driver.Pipeline.optimize_graph ~obs ~algo ?budget g with
+  | Ok { Driver.Pipeline.profile = Some p; _ } ->
+      Printf.printf "  %-28s %8s ms  %2d spans  tier=%s\n%!" name
+        (Bench_util.fmt_ms (p.Obs.Metrics.total_s *. 1e3))
+        (List.length p.Obs.Metrics.spans)
+        (Option.value ~default:"-" p.Obs.Metrics.winning_tier);
+      Obs.Metrics.to_json ~name p
+  | Ok _ -> Bench_util.die "%s: pipeline returned no profile" name
+  | Error m -> Bench_util.die "%s: %s" name m
 
-let write_json ~quick ~path () =
-  Printf.printf "Pipeline profiles (%s mode) -> %s\n"
-    (if quick then "quick" else "full")
-    path;
-  let profiles =
-    List.map
-      (fun e ->
-        let p = run_one e in
-        Printf.printf "  %-28s %8s ms  %2d spans  tier=%s\n" e.name
-          (Bench_util.fmt_ms (p.Obs.Metrics.total_s *. 1e3))
-          (List.length p.Obs.Metrics.spans)
-          (Option.value ~default:"-" p.Obs.Metrics.winning_tier);
-        flush stdout;
-        (e.name, p))
-      (experiments ~quick)
-  in
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc "{\n";
-      Printf.fprintf oc "  \"schema\": \"obs_profile/v1\",\n";
-      Printf.fprintf oc "  \"mode\": %S,\n" (if quick then "quick" else "full");
-      output_string oc "  \"profiles\": [\n";
-      output_string oc
-        (String.concat ",\n"
-           (List.map
-              (fun (name, p) -> Obs.Metrics.to_json ~name p)
-              profiles));
-      output_string oc "\n  ]\n}\n");
-  flush stdout
+let run ~quick ~path =
+  Bench_util.write path
+    (Bench_util.document
+       [
+         ("schema", {|"obs_profile/v1"|});
+         ("mode", if quick then {|"quick"|} else {|"full"|});
+         ( "profiles",
+           "[\n" ^ String.concat ",\n" (List.map profile experiments) ^ "\n  ]" );
+       ])

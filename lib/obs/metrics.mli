@@ -4,10 +4,11 @@
     on — every phase span of the run, a snapshot of the enumeration
     counters (the machine-independent work measures of
     [Core.Counters]), the DP-table occupancy, and the adaptive
-    tier-ladder attempts.  {!to_json} renders the [obs_profile/v1]
-    schema consumed by [tools/bench_smoke.sh] and
-    [results/PROFILE_smoke.json]; {!pp_table} renders the per-phase
-    table behind [joinopt explain] / [joinopt --profile].
+    tier-ladder attempts.  {!to_json} renders the profile objects of
+    the [obs_profile/v1] schema (the bench [profile] suite writes
+    [results/PROFILE_smoke.json] from them; [test/test_driver.ml] pins
+    their per-span keys); {!pp_table} renders the per-phase table
+    behind [joinopt explain] / [joinopt --profile].
 
     This module deliberately speaks in plain ints and strings so that
     the [obs] library stays below every other layer — [Core] converts

@@ -147,6 +147,39 @@ let test_profile_adaptive_ladder () =
                (fun s -> s.Obs.Sink.name = "plan-emit")
                p.Obs.Metrics.spans))
 
+let count_sub s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i acc =
+    if i + m > n then acc
+    else go (i + 1) (if String.sub s i m = sub then acc + 1 else acc)
+  in
+  go 0 0
+
+let test_profile_json_keys () =
+  (* the obs_profile/v1 object of a budgeted ladder descent: every
+     span carries the required keys, and the counter snapshot, budget
+     context, tier ladder and winning tier are all present *)
+  let ctx = Obs.Span.create () in
+  match
+    D.optimize_graph ~obs:ctx ~algo:Core.Optimizer.Adaptive ~budget:2_000
+      (Workloads.Shapes.clique 12)
+  with
+  | Error m -> Alcotest.fail m
+  | Ok { D.profile = None; _ } -> Alcotest.fail "no profile"
+  | Ok { D.profile = Some p; _ } ->
+      let js = Obs.Metrics.to_json ~name:"clique12" p in
+      let spans = count_sub js "\"start_ms\"" in
+      Alcotest.(check int) "one start_ms per span"
+        (List.length p.Obs.Metrics.spans) spans;
+      List.iter
+        (fun key -> check key true (count_sub js key >= spans))
+        [ "\"name\""; "\"depth\""; "\"ms\""; "\"minor_words\"";
+          "\"major_words\""; "\"attrs\"" ];
+      List.iter
+        (fun key -> check key true (count_sub js key > 0))
+        [ "\"pairs_considered\""; "\"budget_remaining\"";
+          "\"winning_tier\""; "\"tier\": \"" ]
+
 (* ------------------------------------------------------------------ *)
 (* serving telemetry                                                   *)
 
@@ -223,6 +256,57 @@ let test_tel_hit_pairs () =
       check "miss charged its pairs" true (m.Obs.Recorder.pairs > 0);
       Alcotest.(check int) "hit charged nothing" 0 h.Obs.Recorder.pairs
   | _ -> Alcotest.fail "expected two recorder entries"
+
+let test_tel_served_exports () =
+  (* a Zipf stream served by the adaptive optimizer through a plan
+     cache, as `joinopt stats` serves it: the Prometheus exposition and
+     the obs_telemetry/v1 snapshot carry the latency, tier and cache
+     series, and neither ever renders a NaN *)
+  let w = Workloads.Replay.star ~satellites:7 ~variants:3 ~length:60 () in
+  let tel = Obs.Export.create () and cache = D.make_cache ~capacity:16 () in
+  Array.iteri
+    (fun i _ ->
+      match
+        D.optimize_graph ~tel ~cache ~algo:Core.Optimizer.Adaptive
+          (Workloads.Replay.graph w i)
+      with
+      | Ok _ -> ()
+      | Error m -> Alcotest.fail m)
+    w.Workloads.Replay.requests;
+  D.export_cache_stats tel cache;
+  let has doc sub = check sub true (count_sub doc sub > 0) in
+  let prom = Obs.Export.prometheus tel in
+  List.iter (has prom)
+    [
+      "# HELP joinopt_optimize_latency_seconds ";
+      "# TYPE joinopt_optimize_latency_seconds histogram";
+      "le=\"+Inf\"";
+      "joinopt_optimize_latency_seconds_count";
+      "joinopt_tier_latency_seconds_bucket{tier=\"";
+      "joinopt_plan_cache_requests_total{outcome=\"hit\"}";
+      "joinopt_plan_cache_entries{shard=\"";
+    ];
+  let js = Obs.Export.to_json tel in
+  List.iter (has js)
+    [
+      "\"schema\": \"obs_telemetry/v1\"";
+      "\"p50_ms\""; "\"p99_ms\""; "\"p999_ms\"";
+      "\"outcome\": \"hit\""; "\"slow_requests\""; "\"fingerprint\"";
+    ];
+  has
+    (Format.asprintf "%a" Cache.Plan_cache.pp_stats
+       (Cache.Plan_cache.stats cache))
+    "hits=";
+  List.iter
+    (fun doc ->
+      check "no NaN" false
+        (List.mem "nan"
+           (String.split_on_char ' '
+              (String.map
+                 (function 'A' .. 'Z' as c -> Char.lowercase_ascii c
+                         | 'a' .. 'z' as c -> c | _ -> ' ')
+                 doc))))
+    [ prom; js ]
 
 (* ------------------------------------------------------------------ *)
 (* EXPLAIN ANALYZE                                                     *)
@@ -379,6 +463,8 @@ let () =
             test_profile_unobserved_absent;
           Alcotest.test_case "adaptive tier ladder" `Quick
             test_profile_adaptive_ladder;
+          Alcotest.test_case "obs_profile/v1 span keys" `Quick
+            test_profile_json_keys;
         ] );
       ( "analyze",
         [
@@ -400,5 +486,7 @@ let () =
             test_tel_minor_words;
           Alcotest.test_case "cache hits charge no pairs" `Quick
             test_tel_hit_pairs;
+          Alcotest.test_case "served stream exports" `Quick
+            test_tel_served_exports;
         ] );
     ]

@@ -1,14 +1,20 @@
 (* bench_diff — regression gate over benchmark / analyze JSON files.
 
-   Both the bench emitters (bench_dphyp/v1, obs_analyze/v1) end their
+   Both the bench ledger (bench/v1) and obs_analyze/v1 end their
    documents with a flat "summary" object of numeric metrics.  This
    tool compares the summaries of two such files metric by metric and
    fails (exit 1) when the geometric-mean ratio current/baseline
    exceeds a threshold, so a perf regression breaks the build instead
    of rotting silently in results/.
 
-     bench_diff [--threshold F] BASELINE CURRENT
+     bench_diff BASELINE CURRENT           # threshold 1.25
+     bench_diff --gates FILE               # every gate listed in FILE
      bench_diff --scale F -o OUT INPUT     # synthesize a scaled summary
+
+   A gates file holds one gate per line, THRESHOLD BASELINE CURRENT
+   REASON, with paths relative to the file; blank lines and lines
+   starting with '#' are skipped.  Every gate runs; the exit code is
+   1 if any failed.
 
    The scale mode exists for testing the gate itself: a 2x-slower
    synthetic summary must make the diff fail.
@@ -146,23 +152,49 @@ let diff ~threshold baseline current =
     0
   end
 
+(* Run every gate of [file]; 1 if any regressed. *)
+let gates file =
+  let dir = Filename.dirname file in
+  let resolve p =
+    if Filename.is_relative p && dir <> Filename.current_dir_name then
+      Filename.concat dir p
+    else p
+  in
+  let lines = String.split_on_char '\n' (read_file file) in
+  List.fold_left
+    (fun worst line ->
+      match String.split_on_char ' ' (String.trim line) with
+      | [ "" ] -> worst
+      | first :: _ when first.[0] = '#' -> worst
+      | threshold :: baseline :: current :: (_ :: _ as reason) -> (
+          match float_of_string_opt threshold with
+          | Some threshold ->
+              Printf.printf "\ngate: %s\n" (String.concat " " reason);
+              max worst (diff ~threshold (resolve baseline) (resolve current))
+          | None -> fail_malformed file ("bad threshold in: " ^ line))
+      | _ ->
+          fail_malformed file
+            ("expected THRESHOLD BASELINE CURRENT REASON: " ^ line))
+    0 lines
+
 let () =
-  let threshold = ref 1.25 in
+  let gates_file = ref None in
   let scale = ref None in
   let out = ref None in
   let files = ref [] in
   let usage =
-    "bench_diff [--threshold F] BASELINE CURRENT\n\
+    "bench_diff BASELINE CURRENT\n\
+    \       bench_diff --gates FILE\n\
     \       bench_diff --scale F -o OUT INPUT\n\n\
      Diff the \"summary\" metrics of two benchmark/analyze JSON files;\n\
      exit 1 when the geomean current/baseline ratio exceeds the\n\
-     threshold."
+     threshold (1.25, or each gate's own in FILE)."
   in
   let spec =
     [
-      ( "--threshold",
-        Arg.Set_float threshold,
-        "F fail when the geomean ratio exceeds F (default 1.25)" );
+      ( "--gates",
+        Arg.String (fun f -> gates_file := Some f),
+        "FILE run every gate listed in FILE" );
       ( "--scale",
         Arg.Float (fun f -> scale := Some f),
         "F write a copy of INPUT's summary with every metric multiplied by F"
@@ -173,8 +205,9 @@ let () =
   Arg.parse spec (fun f -> files := f :: !files) usage;
   let code =
     try
-      match (!scale, List.rev !files) with
-      | Some factor, [ input ] -> (
+      match (!gates_file, !scale, List.rev !files) with
+      | Some file, None, [] -> gates file
+      | None, Some factor, [ input ] -> (
           match !out with
           | Some out ->
               write_scaled ~factor ~out input;
@@ -184,8 +217,8 @@ let () =
           | None ->
               prerr_endline "bench_diff: --scale requires -o OUT";
               2)
-      | None, [ baseline; current ] ->
-          diff ~threshold:!threshold baseline current
+      | None, None, [ baseline; current ] ->
+          diff ~threshold:1.25 baseline current
       | _ ->
           prerr_endline usage;
           2
