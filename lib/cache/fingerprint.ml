@@ -20,23 +20,28 @@ let fnv_prime = 0x100000001b3L
 
 let mix_byte h b = Int64.mul (Int64.logxor h (Int64.of_int (b land 0xff))) fnv_prime
 
+(* The folds below are loops over local refs, which the compiler keeps
+   unboxed: a fingerprint allocates no int64 per byte. *)
 let mix_int h i =
-  let rec go h k i = if k = 8 then h else go (mix_byte h i) (k + 1) (i asr 8) in
-  go h 0 i
+  let h = ref h and i = ref i in
+  for _ = 1 to 8 do
+    h := mix_byte !h !i;
+    i := !i asr 8
+  done;
+  !h
 
 let mix_int64 h v =
-  let rec go h k =
-    if k = 8 then h
-    else
-      go
-        (mix_byte h (Int64.to_int (Int64.shift_right_logical v (8 * k))))
-        (k + 1)
-  in
-  go h 0
+  let h = ref h in
+  for k = 0 to 7 do
+    h := mix_byte !h (Int64.to_int (Int64.shift_right_logical v (8 * k)))
+  done;
+  !h
 
 let mix_string h s =
   let h = ref h in
-  String.iter (fun c -> h := mix_byte !h (Char.code c)) s;
+  for k = 0 to String.length s - 1 do
+    h := mix_byte !h (Char.code (String.unsafe_get s k))
+  done;
   !h
 
 (* Canonical multiset of colors: sort, then fold.  Sorting makes the
@@ -45,23 +50,38 @@ let mix_string h s =
 let mix_sorted h arr =
   Array.sort Int64.compare arr;
   let h = ref (mix_int h (Array.length arr)) in
-  Array.iter (fun c -> h := mix_int64 !h c) arr;
+  for k = 0 to Array.length arr - 1 do
+    h := mix_int64 !h arr.(k)
+  done;
   !h
 
 let colors_of colors s = Array.of_list (List.map (fun v -> colors.(v)) (Ns.to_list s))
 
-(* Signature of one edge under the current node coloring.  The (u, v)
-   sides are kept ordered — they are structural for non-commutative
-   operators and survive any relabeling — while the members WITHIN
-   each hypernode enter as a sorted multiset. *)
-let edge_sig colors (e : He.t) =
+(* [mix_sorted h (colors_of colors s)], without building and sorting
+   an array for the common empty and one-member sets. *)
+let mix_colors h colors s =
+  match Ns.cardinal s with
+  | 0 -> mix_int h 0
+  | 1 -> mix_int64 (mix_int h 1) colors.(Ns.min_elt s)
+  | _ -> mix_sorted h (colors_of colors s)
+
+(* The part of an edge's signature no coloring changes: its operator
+   and selectivity bucket. *)
+let edge_base (e : He.t) =
   let h = mix_string fnv_offset (Relalg.Operator.symbol e.op) in
-  let h = mix_int h (Costing.Cardinality.sel_bucket e.sel) in
-  let h = mix_sorted h (colors_of colors e.u) in
+  mix_int h (Costing.Cardinality.sel_bucket e.sel)
+
+(* Signature of one edge under the current node coloring, from its
+   [edge_base].  The (u, v) sides are kept ordered — they are
+   structural for non-commutative operators and survive any
+   relabeling — while the members WITHIN each hypernode enter as a
+   sorted multiset. *)
+let edge_sig colors base (e : He.t) =
+  let h = mix_colors base colors e.u in
   let h = mix_byte h 0x75 in
-  let h = mix_sorted h (colors_of colors e.v) in
+  let h = mix_colors h colors e.v in
   let h = mix_byte h 0x76 in
-  mix_sorted h (colors_of colors e.w)
+  mix_colors h colors e.w
 
 (* Refinement rounds.  Three rounds propagate information across a
    3-hop neighborhood — plenty to separate the classic shapes — and
@@ -81,8 +101,9 @@ let of_graph g =
         mix_int h (Ns.cardinal r.G.free))
   in
   let esigs = Array.make (Array.length edges) 0L in
+  let bases = Array.map edge_base edges in
   let refresh_esigs () =
-    Array.iteri (fun i e -> esigs.(i) <- edge_sig colors e) edges
+    Array.iteri (fun i e -> esigs.(i) <- edge_sig colors bases.(i) e) edges
   in
   for _ = 1 to rounds do
     refresh_esigs ();
@@ -105,7 +126,7 @@ let of_graph g =
           let h = mix_sorted h (Array.of_list !contribs) in
           (* free-variable wiring: the colors of the relations this
              one depends on (table-valued functions) *)
-          mix_sorted h (colors_of colors (G.relation g v).G.free))
+          mix_colors h colors (G.relation g v).G.free)
     in
     Array.blit next 0 colors 0 n
   done;

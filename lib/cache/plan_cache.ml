@@ -64,12 +64,14 @@ let create ?(shards = 16) ~capacity () =
    stripe index mixes both.  Deterministic and address-free, like the
    fingerprint itself. *)
 let fnv_string s =
+  (* a loop over a local ref, which stays unboxed: no int64 per byte *)
   let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c ->
-      h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c)))
-             0x100000001b3L)
-    s;
+  for k = 0 to String.length s - 1 do
+    h :=
+      Int64.mul
+        (Int64.logxor !h (Int64.of_int (Char.code (String.unsafe_get s k))))
+        0x100000001b3L
+  done;
   Int64.to_int !h land max_int
 
 let shard_of t k =

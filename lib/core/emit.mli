@@ -20,8 +20,7 @@ type filter =
 (** Extra validity test applied before plan construction — the
     TES-generate-and-test mode of Section 5.8 plugs in here.  Receives
     the pair ordered as given to {!emit_pair} and its connecting
-    edges.  It runs while the graph's incident-edge buffer is in use,
-    so it must not call the graph's arena-backed accessors. *)
+    edges, as {!Hypergraph.Graph.connecting_edges} returns them. *)
 
 type t
 (** Emission context: graph, cost model, table access, counters,
@@ -97,8 +96,16 @@ val candidates :
 
     All entry points above run one core, once per pair [(S1, S2)]:
 
-    - {b Resolution.}  One pass over the edges incident to the smaller
-      side ({!Hypergraph.Graph.incident_edges}) classifies each edge.
+    - {b Resolution.}  The edges met by both sides are read off
+      per-node incident-edge bitsets built once by
+      {!Hypergraph.Graph.make}: per 62-bit word of edge ids, the OR
+      over the smaller side is AND-ed with the OR over the part of the
+      bigger side that the smaller one touches through some edge
+      ({!Hypergraph.Graph.pair_edges}); a word that is 0 on the smaller
+      side is skipped.  Set bits come out in ascending id order, with
+      no gather, sort or allocation.  A simple inner edge among them
+      connects the pair, and its selectivity is multiplied in from an
+      unboxed per-edge array; every other edge is classified.
       Connecting edges (Definition 7) are conjoined.  If exactly one
       of them is non-inner, its operator and orientation decide the
       join (Section 5.4); two non-inner ones cannot be combined and
@@ -108,7 +115,9 @@ val candidates :
       exactly the edges whose cover lies inside [S]; no per-plan state
       is read.  Pending inner predicates are conjoined here as
       filters, and a pending non-inner edge rejects the pair.  The cost
-      is O(edges incident to the smaller side), not O(E).
+      is one OR per member of the smaller side and per touched member
+      of the bigger side for each edge-id word, plus one step per edge
+      met by both sides — not O(E).
     - {b Cost first.}  Each valid argument order gets its operator
       (after the dependent switch of Section 5.6), cardinality and
       cost as plain floats, and counts one [cost_calls].  Only a

@@ -11,8 +11,13 @@ let base_rel ?(free = Ns.empty) ?(card = 1000.0) name = { name; card; free }
    generation does not allocate (see doc/algorithm.mld, "Complexity &
    engineering").
 
-   The arena makes the accessors non-reentrant: they must not be
-   called from inside a callback of another accessor on the same
+   The incidence indexes are bitsets of 62-bit words ([Ns.Words]),
+   stored flat: node [v]'s [w] words start at [v * w].  OR-ing them
+   over a set yields its incident edges deduplicated and in ascending
+   id order, with no gather, stamp or sort.
+
+   The arena makes the candidate accessors non-reentrant: they must not
+   be called from inside a callback of another accessor on the same
    graph, and a [t] must not be shared between domains.  Every
    accessor fully consumes the arena before returning, so ordinary
    sequential use — including the mutually recursive enumeration in
@@ -24,11 +29,17 @@ type t = {
   simple_nb : Ns.t array;  (* per node: union of simple-edge neighbors *)
   complex : Hyperedge.t list;  (* non-simple edges, id order *)
   complex_arr : Hyperedge.t array;  (* same edges as [complex] *)
-  complex_by_node : int array array;
-      (* per node: indexes into [complex_arr] of the complex edges
-         whose cover contains the node, ascending *)
-  edges_by_node : int array array;
-      (* per node: ids of all edges whose cover contains it, ascending *)
+  complex_words : int;  (* words per bitset over [complex_arr] indexes *)
+  complex_inc : int array;
+      (* per node: the [complex_arr] indexes of the complex edges whose
+         cover contains it *)
+  edge_words : int;  (* words per bitset over edge ids *)
+  edge_inc : int array;
+      (* per node: the ids of all edges whose cover contains it *)
+  node_words : int;  (* words per bitset over nodes *)
+  touch : int array;  (* per node: union of the covers of its edges *)
+  simple_inner : int array;  (* ids of the simple, plain inner-join edges *)
+  sels : float array;  (* per edge id: selectivity *)
   edge_covers : Ns.t array;  (* per edge id: u ∪ v ∪ w *)
   complex_union : Ns.t;  (* union of all complex-edge covers *)
   free_arr : Ns.t array;  (* per node: the relation's free set *)
@@ -39,23 +50,37 @@ type t = {
   cand_order : int array;  (* permutation of [0, cand_len) by cardinality *)
   cand_keep : bool array;  (* survives E♮ minimization? *)
   mutable cand_len : int;
-  edge_buf : int array;  (* gathered incident edge indexes / ids *)
-  edge_stamp : int array;  (* per edge slot: stamp of last gather *)
-  mutable stamp : int;
 }
 
-(* In-place ascending sort; the gathered incidence lists are short, so
-   insertion sort beats anything with setup cost. *)
-let insertion_sort (a : int array) len =
-  for i = 1 to len - 1 do
-    let x = a.(i) in
-    let j = ref (i - 1) in
-    while !j >= 0 && a.(!j) > x do
-      a.(!j + 1) <- a.(!j);
-      decr j
-    done;
-    a.(!j + 1) <- x
-  done
+let bits = Ns.Words.bits
+
+let words_for count = max 1 ((count + bits - 1) / bits)
+
+(* Flat per-node bitsets of [words] words each: bit [i] of node [v]
+   for every [i] with [v] in [cover i]. *)
+let node_bitsets n words count cover =
+  let a = Array.make (n * words) 0 in
+  for i = 0 to count - 1 do
+    Ns.iter
+      (fun v ->
+        let k = (v * words) + (i / bits) in
+        a.(k) <- a.(k) lor (1 lsl (i mod bits)))
+      (cover i)
+  done;
+  a
+
+(* Word [k] of the OR of the bitsets of the members of [s]. *)
+let or_over a words s k =
+  let acc = ref 0 in
+  for j = 0 to Ns.Words.count s - 1 do
+    let m = ref (Ns.Words.get s j) in
+    while !m <> 0 do
+      let v = (j * bits) + Ns.Words.lowest_bit !m in
+      acc := !acc lor a.((v * words) + k);
+      m := !m land (!m - 1)
+    done
+  done;
+  !acc
 
 let make relations edges =
   let n = Array.length relations in
@@ -94,34 +119,26 @@ let make relations edges =
       (fun acc (e : Hyperedge.t) -> Ns.union acc edge_covers.(e.id))
       Ns.empty complex_arr
   in
-  (* Per-node incidence lists; filling in id order keeps them sorted. *)
-  let count_c = Array.make n 0 and count_e = Array.make n 0 in
+  let complex_words = words_for nc and edge_words = words_for m in
+  let node_words = words_for n in
+  let touch = Array.make (n * node_words) 0 in
   Array.iter
-    (fun (e : Hyperedge.t) ->
-      Ns.iter (fun v -> count_c.(v) <- count_c.(v) + 1) edge_covers.(e.id))
-    complex_arr;
-  Array.iter
-    (fun cover -> Ns.iter (fun v -> count_e.(v) <- count_e.(v) + 1) cover)
-    edge_covers;
-  let complex_by_node = Array.init n (fun v -> Array.make count_c.(v) 0) in
-  let edges_by_node = Array.init n (fun v -> Array.make count_e.(v) 0) in
-  let fill_c = Array.make n 0 and fill_e = Array.make n 0 in
-  Array.iteri
-    (fun k (e : Hyperedge.t) ->
+    (fun cover ->
       Ns.iter
         (fun v ->
-          complex_by_node.(v).(fill_c.(v)) <- k;
-          fill_c.(v) <- fill_c.(v) + 1)
-        edge_covers.(e.id))
-    complex_arr;
-  Array.iteri
-    (fun i cover ->
-      Ns.iter
-        (fun v ->
-          edges_by_node.(v).(fill_e.(v)) <- i;
-          fill_e.(v) <- fill_e.(v) + 1)
+          for j = 0 to node_words - 1 do
+            let k = (v * node_words) + j in
+            touch.(k) <- touch.(k) lor Ns.Words.get cover j
+          done)
         cover)
     edge_covers;
+  let simple_inner = Array.make edge_words 0 in
+  Array.iter
+    (fun (e : Hyperedge.t) ->
+      if Hyperedge.is_simple e && e.op.kind = Relalg.Operator.Inner then
+        simple_inner.(e.id / bits) <-
+          simple_inner.(e.id / bits) lor (1 lsl (e.id mod bits)))
+    edges;
   {
     n;
     relations;
@@ -129,8 +146,16 @@ let make relations edges =
     simple_nb;
     complex;
     complex_arr;
-    complex_by_node;
-    edges_by_node;
+    complex_words;
+    complex_inc =
+      node_bitsets n complex_words nc (fun k ->
+          edge_covers.(complex_arr.(k).Hyperedge.id));
+    edge_words;
+    edge_inc = node_bitsets n edge_words m (fun i -> edge_covers.(i));
+    node_words;
+    touch;
+    simple_inner;
+    sels = Array.map (fun (e : Hyperedge.t) -> e.sel) edges;
     edge_covers;
     complex_union;
     free_arr = Array.map (fun r -> r.free) relations;
@@ -141,13 +166,10 @@ let make relations edges =
     cand_order = Array.make (max 1 (2 * nc)) 0;
     cand_keep = Array.make (max 1 (2 * nc)) false;
     cand_len = 0;
-    edge_buf = Array.make (max 1 m) 0;
-    edge_stamp = Array.make (max 1 m) 0;
-    stamp = 0;
   }
 
 (* A shallow copy sharing every immutable index but owning a fresh
-   scratch arena.  This is the unit of domain-parallelism: the
+   candidate arena.  This is the unit of domain-parallelism: the
    relations, edges and incidence indexes are written once by [make]
    and only read afterwards, so any number of domains may use their
    own copy concurrently — the arena (the only mutable state) is
@@ -160,9 +182,6 @@ let copy_scratch g =
     cand_order = Array.make (Array.length g.cand_order) 0;
     cand_keep = Array.make (Array.length g.cand_keep) false;
     cand_len = 0;
-    edge_buf = Array.make (Array.length g.edge_buf) 0;
-    edge_stamp = Array.make (Array.length g.edge_stamp) 0;
-    stamp = 0;
   }
 
 let num_nodes g = g.n
@@ -187,6 +206,35 @@ let edge g i = g.edges.(i)
 
 let edge_cover g i = g.edge_covers.(i)
 
+let edge_sel g i = g.sels.(i)
+
+let edge_words g = g.edge_words
+
+let simple_inner g k = g.simple_inner.(k)
+
+(* Every edge incident to both sides covers a node of [small] and,
+   through it, lies inside that node's [touch]: so only the part of
+   [big] that [small] touches needs OR-ing, which keeps a pair whose
+   big side is a large star cheap. *)
+let pair_edges g small big k =
+  let a = or_over g.edge_inc g.edge_words small k in
+  if a = 0 then 0
+  else begin
+    let b = ref 0 in
+    for j = 0 to Ns.Words.count big - 1 do
+      let bj = Ns.Words.get big j in
+      if bj <> 0 then begin
+        let m = ref (bj land or_over g.touch g.node_words small j) in
+        while !m <> 0 do
+          let v = (j * bits) + Ns.Words.lowest_bit !m in
+          b := !b lor g.edge_inc.((v * g.edge_words) + k);
+          m := !m land (!m - 1)
+        done
+      end
+    done;
+    a land !b
+  end
+
 let simple_neighbors g i = g.simple_nb.(i)
 
 let simple_neighborhood g s = Ns.union_over_array g.simple_nb s
@@ -194,29 +242,6 @@ let simple_neighborhood g s = Ns.union_over_array g.simple_nb s
 let complex_edges g = g.complex
 
 (* ---- indexed candidate generation --------------------------------- *)
-
-(* Gather into [g.edge_buf], deduplicated via stamps and restored to
-   ascending order, the [complex_arr] indexes of the complex edges
-   incident to [s].  Returns the count. *)
-let gather_incident_complex g s =
-  g.stamp <- g.stamp + 1;
-  let st = g.stamp in
-  let cnt = ref 0 in
-  let rem = ref s in
-  while not (Ns.is_empty !rem) do
-    let lst = g.complex_by_node.(Ns.min_elt !rem) in
-    for i = 0 to Array.length lst - 1 do
-      let k = lst.(i) in
-      if g.edge_stamp.(k) <> st then begin
-        g.edge_stamp.(k) <- st;
-        g.edge_buf.(!cnt) <- k;
-        incr cnt
-      end
-    done;
-    rem := Ns.without_min !rem
-  done;
-  insertion_sort g.edge_buf !cnt;
-  !cnt
 
 (* E♮0(S, X) into the arena: candidate hypernodes reachable from S,
    disjoint from S and X.  Generalized edges contribute v ∪ (w \ S)
@@ -226,25 +251,28 @@ let gather_incident_complex g s =
    edges in id order produces. *)
 let collect_candidates g s x =
   let sx = Ns.union s x in
-  let nb = gather_incident_complex g s in
   g.cand_len <- 0;
-  for i = 0 to nb - 1 do
-    let e = g.complex_arr.(g.edge_buf.(i)) in
-    let w_out = Ns.diff e.w s in
-    if Ns.subset e.u s then begin
-      let cand = Ns.union e.v w_out in
-      if (not (Ns.is_empty cand)) && Ns.disjoint cand sx then begin
-        g.cand.(g.cand_len) <- cand;
-        g.cand_len <- g.cand_len + 1
+  for k = 0 to g.complex_words - 1 do
+    let m = ref (or_over g.complex_inc g.complex_words s k) in
+    while !m <> 0 do
+      let e = g.complex_arr.((k * bits) + Ns.Words.lowest_bit !m) in
+      m := !m land (!m - 1);
+      let w_out = Ns.diff e.w s in
+      if Ns.subset e.u s then begin
+        let cand = Ns.union e.v w_out in
+        if (not (Ns.is_empty cand)) && Ns.disjoint cand sx then begin
+          g.cand.(g.cand_len) <- cand;
+          g.cand_len <- g.cand_len + 1
+        end
+      end;
+      if Ns.subset e.v s then begin
+        let cand = Ns.union e.u w_out in
+        if (not (Ns.is_empty cand)) && Ns.disjoint cand sx then begin
+          g.cand.(g.cand_len) <- cand;
+          g.cand_len <- g.cand_len + 1
+        end
       end
-    end;
-    if Ns.subset e.v s then begin
-      let cand = Ns.union e.u w_out in
-      if (not (Ns.is_empty cand)) && Ns.disjoint cand sx then begin
-        g.cand.(g.cand_len) <- cand;
-        g.cand_len <- g.cand_len + 1
-      end
-    end
+    done
   done
 
 (* Shared E♮0 → E♮ minimization: a candidate survives iff it avoids
@@ -343,56 +371,35 @@ let connects g s1 s2 =
       if Ns.intersects g.simple_nb.(Ns.min_elt !rem) big then raise Found_edge;
       rem := Ns.without_min !rem
     done;
-    if Ns.intersects g.complex_union small then begin
-      let rem = ref small in
-      while not (Ns.is_empty !rem) do
-        let lst = g.complex_by_node.(Ns.min_elt !rem) in
-        for i = 0 to Array.length lst - 1 do
-          if Hyperedge.connects g.complex_arr.(lst.(i)) s1 s2 then
-            raise Found_edge
-        done;
-        rem := Ns.without_min !rem
-      done
-    end;
+    if Ns.intersects g.complex_union small then
+      for k = 0 to g.complex_words - 1 do
+        let m = ref (or_over g.complex_inc g.complex_words small k) in
+        while !m <> 0 do
+          let e = g.complex_arr.((k * bits) + Ns.Words.lowest_bit !m) in
+          if Hyperedge.connects e s1 s2 then raise Found_edge;
+          m := !m land (!m - 1)
+        done
+      done;
     false
   with Found_edge -> true
 
-(* Gather into [g.edge_buf], deduplicated via stamps and restored to
-   ascending order, the ids of all edges whose cover meets [s]. *)
-let incident_edges g s =
-  g.stamp <- g.stamp + 1;
-  let st = g.stamp in
-  let cnt = ref 0 in
-  let rem = ref s in
-  while not (Ns.is_empty !rem) do
-    let lst = g.edges_by_node.(Ns.min_elt !rem) in
-    for i = 0 to Array.length lst - 1 do
-      let id = lst.(i) in
-      if g.edge_stamp.(id) <> st then begin
-        g.edge_stamp.(id) <- st;
-        g.edge_buf.(!cnt) <- id;
-        incr cnt
-      end
-    done;
-    rem := Ns.without_min !rem
-  done;
-  insertion_sort g.edge_buf !cnt;
-  !cnt
-
-let incident_edge g i = g.edge_buf.(i)
-
-(* Any edge connecting s1 and s2 covers nodes on both sides, so it is
-   incident to the smaller side — gather only those. *)
+(* Any edge connecting s1 and s2 covers nodes on both sides:
+   [pair_edges] yields exactly the edges that do.  Walking the ids
+   downwards builds the list in ascending order. *)
 let connecting_edges g s1 s2 =
-  let cnt =
-    incident_edges g (if Ns.cardinal s1 <= Ns.cardinal s2 then s1 else s2)
-  in
+  let swap = Ns.cardinal s1 > Ns.cardinal s2 in
+  let small = if swap then s2 else s1 and big = if swap then s1 else s2 in
   let acc = ref [] in
-  for i = cnt - 1 downto 0 do
-    let e = g.edges.(g.edge_buf.(i)) in
-    match Hyperedge.orient e s1 s2 with
-    | Some o -> acc := (e, o) :: !acc
-    | None -> ()
+  for k = g.edge_words - 1 downto 0 do
+    let m = ref (pair_edges g small big k) in
+    while !m <> 0 do
+      let b = Ns.Words.highest_bit !m in
+      m := !m lxor (1 lsl b);
+      let e = g.edges.((k * bits) + b) in
+      match Hyperedge.orient e s1 s2 with
+      | Some o -> acc := (e, o) :: !acc
+      | None -> ()
+    done
   done;
   !acc
 

@@ -3,17 +3,19 @@
     A hypergraph bundles the relations of a query (with cardinalities
     and free-variable sets for dependent evaluation) and its
     hyperedges.  Construction precomputes per-node indexes — simple
-    neighbor masks and, for each node, the complex edges and the edges
-    of any kind whose cover contains it — so that {!neighborhood},
-    {!connects} and {!connecting_edges} only examine edges incident to
-    their argument sets, and owns a scratch arena that makes candidate
-    generation allocation-free on the common path.
+    neighbor masks and, as bitsets over edge ids, the complex edges and
+    the edges of any kind whose cover contains each node — so that
+    {!neighborhood}, {!connects} and {!connecting_edges} only examine
+    edges incident to their argument sets.  It also owns a scratch
+    arena that makes candidate generation allocation-free on the
+    common path.
 
-    Because of that arena the accessors are {b not reentrant}: do not
-    call them from inside a callback of another accessor on the same
-    graph, and do not share a [t] between domains.  Each call fully
-    consumes the arena before returning, so ordinary sequential use is
-    safe.
+    Because of that arena, {!neighborhood}, {!candidate_hypernodes}
+    and {!eligible_hypernodes} are {b not reentrant}: do not call them
+    from inside a callback of another accessor on the same graph, and
+    do not share a [t] between domains.  Each call fully consumes the
+    arena before returning, so ordinary sequential use is safe.  Every
+    other accessor only reads indexes written once by {!make}.
 
     The node order required by the algorithms is the natural order on
     node indices [0 .. n-1]. *)
@@ -39,11 +41,11 @@ val make : rel array -> Hyperedge.t array -> t
     [Node_set.max_nodes] relations. *)
 
 val copy_scratch : t -> t
-(** A copy sharing all immutable indexes but owning a fresh scratch
+(** A copy sharing all immutable indexes but owning a fresh candidate
     arena.  The immutable parts are written once by {!make} and only
     read afterwards, so giving each domain its own copy makes the
-    arena-backed accessors ({!neighborhood}, {!connecting_edges}, …)
-    safe to call concurrently — one copy per domain, never shared. *)
+    arena-backed accessors ({!neighborhood}, …) safe to call
+    concurrently — one copy per domain, never shared. *)
 
 val num_nodes : t -> int
 
@@ -67,6 +69,32 @@ val edge : t -> int -> Hyperedge.t
 
 val edge_cover : t -> int -> Nodeset.Node_set.t
 (** Precomputed [u ∪ v ∪ w] of the edge with the given id. *)
+
+val edge_sel : t -> int -> float
+(** The [sel] of the edge with the given id, read from an unboxed
+    per-edge array. *)
+
+(** {2 Edge-id bitsets}
+
+    Sets of edge ids in {!Nodeset.Node_set.Words} layout: word [k]
+    holds ids [62k .. 62k+61], id [62k + i] at bit [i].  EmitCsgCmp
+    resolves a pair from them without gathering or sorting. *)
+
+val edge_words : t -> int
+(** Words per edge-id bitset: [max 1 ⌈num_edges / 62⌉]. *)
+
+val simple_inner : t -> int -> int
+(** Word [k] of the ids of the simple edges with a [w]-free inner-join
+    operator.  Such an edge, once it meets both sides of a pair,
+    connects them. *)
+
+val pair_edges : t -> Nodeset.Node_set.t -> Nodeset.Node_set.t -> int -> int
+(** [pair_edges g small big k] is word [k] of the ids of the edges
+    whose cover meets both [small] and [big]; every edge connecting or
+    pending between two disjoint sets is among them.  Pass the side
+    with fewer members as [small]: the cost is one OR per member of
+    [small] per word, plus one per member of [big] sharing an edge
+    with [small].  Allocation-free at every width. *)
 
 val simple_neighbors : t -> int -> Nodeset.Node_set.t
 (** Precomputed union of the opposite endpoints of all simple edges
@@ -104,18 +132,6 @@ val connecting_edges :
   (Hyperedge.t * Hyperedge.orientation) list
 (** All edges connecting the pair, with orientation relative to
     [(s1, s2)] — what EmitCsgCmp conjoins into the join predicate. *)
-
-val incident_edges : t -> Nodeset.Node_set.t -> int
-(** [incident_edges g s] gathers into the scratch arena the ids of all
-    edges whose cover meets [s], in ascending order, and returns their
-    count; read them with {!incident_edge}.  The gathered ids stay
-    valid until the next arena-backed accessor call on [g].  This is
-    the pass {!connecting_edges} makes, exposed so that EmitCsgCmp can
-    classify the same edges without building a list. *)
-
-val incident_edge : t -> int -> int
-(** [incident_edge g i] is the [i]-th id gathered by the last
-    {!incident_edges} call ([0 <= i < count]). *)
 
 val has_hyperedges : t -> bool
 (** Any non-simple edge present? *)

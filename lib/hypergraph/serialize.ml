@@ -1,24 +1,56 @@
 module Ns = Nodeset.Node_set
 module He = Hyperedge
 
-let set_to_string s = String.concat "," (List.map string_of_int (Ns.to_list s))
+(* What [Printf.sprintf "%.17g"] prints, from the C formatter it calls,
+   without interpreting a format per number.  [to_string] builds the
+   plan cache's exact key on every request, hits included. *)
+external format_float : string -> float -> string = "caml_format_float"
 
 let to_string g =
   let buf = Buffer.create 512 in
-  let pr fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  pr "# %d relations, %d edges\n" (Graph.num_nodes g) (Graph.num_edges g);
+  let add = Buffer.add_string buf in
+  let add_int i = add (string_of_int i) in
+  (* members ascending, comma-separated; never called on [empty] *)
+  let add_set s =
+    let first = Ns.min_elt s in
+    Ns.iter
+      (fun v ->
+        if v <> first then Buffer.add_char buf ',';
+        add_int v)
+      s
+  in
+  add "# ";
+  add_int (Graph.num_nodes g);
+  add " relations, ";
+  add_int (Graph.num_edges g);
+  add " edges\n";
   for i = 0 to Graph.num_nodes g - 1 do
     let r = Graph.relation g i in
-    pr "rel %s card=%.17g" r.Graph.name r.Graph.card;
-    if not (Ns.is_empty r.Graph.free) then
-      pr " free=%s" (set_to_string r.Graph.free);
-    pr "\n"
+    add "rel ";
+    add r.Graph.name;
+    add " card=";
+    add (format_float "%.17g" r.Graph.card);
+    if not (Ns.is_empty r.Graph.free) then begin
+      add " free=";
+      add_set r.Graph.free
+    end;
+    add "\n"
   done;
   Array.iter
     (fun (e : He.t) ->
-      pr "edge u=%s v=%s" (set_to_string e.u) (set_to_string e.v);
-      if not (Ns.is_empty e.w) then pr " w=%s" (set_to_string e.w);
-      pr " op=%s sel=%.17g\n" (Relalg.Operator.symbol e.op) e.sel)
+      add "edge u=";
+      add_set e.u;
+      add " v=";
+      add_set e.v;
+      if not (Ns.is_empty e.w) then begin
+        add " w=";
+        add_set e.w
+      end;
+      add " op=";
+      add (Relalg.Operator.symbol e.op);
+      add " sel=";
+      add (format_float "%.17g" e.sel);
+      add "\n")
     (Graph.edges g);
   Buffer.contents buf
 

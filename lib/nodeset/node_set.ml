@@ -60,7 +60,12 @@ let bit_of v = v mod bits_per_word
 (* word [k] of a wide payload, 0 beyond its length *)
 let word a k = if k < Array.length a then a.(k) else 0
 
-let words (s : t) : int array = if is_small s then [| smv s |] else wdv s
+(* The words of a set, read without boxing a small operand, so
+   mixed-width operations allocate nothing beyond their result. *)
+let nwords (s : t) = if is_small s then 1 else Array.length (wdv s)
+
+let wget (s : t) k =
+  if is_small s then if k = 0 then smv s else 0 else word (wdv s) k
 
 (* index of the last nonzero word (0 if all words are zero) *)
 let last_nonzero a =
@@ -109,10 +114,11 @@ let add v s =
   if is_small s && v < bits_per_word && not !force_wide_flag then
     sm (smv s lor (1 lsl v))
   else begin
-    let a = words s in
-    let la = Array.length a in
-    let r = Array.make (max la (word_of v + 1)) 0 in
-    Array.blit a 0 r 0 la;
+    let la = nwords s in
+    let r = Array.make (Int.max la (word_of v + 1)) 0 in
+    for k = 0 to la - 1 do
+      r.(k) <- wget s k
+    done;
     r.(word_of v) <- r.(word_of v) lor (1 lsl bit_of v);
     wd r
   end
@@ -134,82 +140,79 @@ let remove v s =
     end
   end
 
-(* generic word-wise combination of two payloads *)
+(* Every operation below is its single-word path plus a call to an
+   out-of-line wide path, so the single-word path stays small enough
+   to inline at call sites in other modules. *)
+
+(* generic word-wise combination of two sets, at least one wide *)
 let op2 f a b =
-  let la = Array.length a and lb = Array.length b in
-  let l = if la > lb then la else lb in
+  let l = Int.max (nwords a) (nwords b) in
   let r = Array.make l 0 in
   for k = 0 to l - 1 do
-    r.(k) <- f (word a k) (word b k)
+    r.(k) <- f (wget a k) (wget b k)
   done;
   wd r
 
+(* whether [p] holds for every pair of words of [a] and [b] *)
+let all2 p a b =
+  let l = Int.max (nwords a) (nwords b) in
+  let ok = ref true and k = ref 0 in
+  while !ok && !k < l do
+    ok := p (wget a !k) (wget b !k);
+    incr k
+  done;
+  !ok
+
+let[@inline never] union_wide a b = op2 ( lor ) a b
+
+let[@inline never] inter_wide a b = op2 ( land ) a b
+
+let[@inline never] diff_wide a b = op2 (fun x y -> x land lnot y) a b
+
+let[@inline never] subset_wide a b = all2 (fun x y -> x land lnot y = 0) a b
+
+let[@inline never] equal_wide a b = all2 (fun (x : int) y -> x = y) a b
+
+let[@inline never] disjoint_wide a b = all2 (fun x y -> x land y = 0) a b
+
 let union a b =
-  if is_small a && is_small b then sm (smv a lor smv b)
-  else op2 ( lor ) (words a) (words b)
+  if is_small a && is_small b then sm (smv a lor smv b) else union_wide a b
 
 let inter a b =
-  if is_small a && is_small b then sm (smv a land smv b)
-  else op2 ( land ) (words a) (words b)
+  if is_small a && is_small b then sm (smv a land smv b) else inter_wide a b
 
 let diff a b =
   if is_small a && is_small b then sm (smv a land lnot (smv b))
-  else op2 (fun x y -> x land lnot y) (words a) (words b)
+  else diff_wide a b
 
 let subset a b =
   if is_small a && is_small b then smv a land lnot (smv b) = 0
-  else begin
-    let wa = words a and wb = words b in
-    let l = max (Array.length wa) (Array.length wb) in
-    let ok = ref true in
-    for k = 0 to l - 1 do
-      if word wa k land lnot (word wb k) <> 0 then ok := false
-    done;
-    !ok
-  end
+  else subset_wide a b
 
 let equal a b =
-  if is_small a && is_small b then smv a = smv b
-  else begin
-    let wa = words a and wb = words b in
-    let l = max (Array.length wa) (Array.length wb) in
-    let ok = ref true in
-    for k = 0 to l - 1 do
-      if word wa k <> word wb k then ok := false
-    done;
-    !ok
-  end
+  if is_small a && is_small b then smv a = smv b else equal_wide a b
 
 let strict_subset a b = subset a b && not (equal a b)
 
 let disjoint a b =
   if is_small a && is_small b then smv a land smv b = 0
-  else begin
-    let wa = words a and wb = words b in
-    let l = max (Array.length wa) (Array.length wb) in
-    let ok = ref true in
-    for k = 0 to l - 1 do
-      if word wa k land word wb k <> 0 then ok := false
-    done;
-    !ok
-  end
+  else disjoint_wide a b
 
 let intersects a b = not (disjoint a b)
 
 (* numeric order of the value, regardless of representation *)
+let[@inline never] compare_wide a b =
+  let c = ref 0 in
+  let k = ref (Int.max (nwords a) (nwords b) - 1) in
+  while !c = 0 && !k >= 0 do
+    c := Int.compare (wget a !k) (wget b !k);
+    decr k
+  done;
+  !c
+
 let compare a b =
   if is_small a && is_small b then Int.compare (smv a) (smv b)
-  else begin
-    let wa = words a and wb = words b in
-    let l = max (Array.length wa) (Array.length wb) in
-    let c = ref 0 in
-    let k = ref (l - 1) in
-    while !c = 0 && !k >= 0 do
-      c := Int.compare (word wa !k) (word wb !k);
-      decr k
-    done;
-    !c
-  end
+  else compare_wide a b
 
 (* SWAR popcount on the 62 usable bits of one word. *)
 let popcount s =
@@ -218,9 +221,10 @@ let popcount s =
   let x = (x + (x lsr 4)) land 0x0F0F0F0F0F0F0F0F in
   (x * 0x0101010101010101) lsr 56
 
-let cardinal s =
-  if is_small s then popcount (smv s)
-  else Array.fold_left (fun acc w -> acc + popcount w) 0 (wdv s)
+let[@inline never] cardinal_wide s =
+  Array.fold_left (fun acc w -> acc + popcount w) 0 (wdv s)
+
+let cardinal s = if is_small s then popcount (smv s) else cardinal_wide s
 
 let is_singleton s =
   if is_small s then begin
@@ -239,31 +243,21 @@ let is_singleton s =
     !seen = 1
   end
 
-(* Number of trailing zeros via de-Bruijn-free loop; sets are small so
-   a simple shift loop would do, but binary search is branch-cheap. *)
-let ntz s =
-  let s = s land (-s) in
-  let n = ref 0 in
-  let s = ref s in
-  if !s land 0xFFFFFFFF = 0 then begin n := !n + 32; s := !s lsr 32 end;
-  if !s land 0xFFFF = 0 then begin n := !n + 16; s := !s lsr 16 end;
-  if !s land 0xFF = 0 then begin n := !n + 8; s := !s lsr 8 end;
-  if !s land 0xF = 0 then begin n := !n + 4; s := !s lsr 4 end;
-  if !s land 0x3 = 0 then begin n := !n + 2; s := !s lsr 2 end;
-  if !s land 0x1 = 0 then n := !n + 1;
-  !n
+(* Number of trailing zeros of a nonzero word: the bits below its
+   lowest set bit, counted.  Branch-free, so bit positions that vary
+   from call to call cost no mispredictions. *)
+let ntz s = popcount ((s land (-s)) - 1)
 
-(* position of the highest set bit of a nonzero word *)
+(* Position of the highest set bit of a nonzero word: smear it into
+   every lower bit, then count. *)
 let msb s =
-  let v = ref 0 in
-  let s = ref s in
-  if !s land (0x3FFFFFFF lsl 32) <> 0 then begin v := !v + 32; s := !s lsr 32 end;
-  if !s land (0xFFFF lsl 16) <> 0 then begin v := !v + 16; s := !s lsr 16 end;
-  if !s land (0xFF lsl 8) <> 0 then begin v := !v + 8; s := !s lsr 8 end;
-  if !s land (0xF lsl 4) <> 0 then begin v := !v + 4; s := !s lsr 4 end;
-  if !s land (0x3 lsl 2) <> 0 then begin v := !v + 2; s := !s lsr 2 end;
-  if !s land 0x2 <> 0 then v := !v + 1;
-  !v
+  let s = s lor (s lsr 1) in
+  let s = s lor (s lsr 2) in
+  let s = s lor (s lsr 4) in
+  let s = s lor (s lsr 8) in
+  let s = s lor (s lsr 16) in
+  let s = s lor (s lsr 32) in
+  popcount s - 1
 
 let min_elt s =
   if is_small s then begin
@@ -518,6 +512,14 @@ let pp_named name ppf s =
 let pp ppf s = pp_named (fun v -> "R" ^ string_of_int v) ppf s
 
 let to_string s = Format.asprintf "%a" pp s
+
+module Words = struct
+  let bits = bits_per_word
+  let count = nwords
+  let get = wget
+  let lowest_bit = ntz
+  let highest_bit = msb
+end
 
 module Internal = struct
   let is_wide_repr s = not (is_small s)

@@ -170,6 +170,30 @@ val to_string : t -> string
 val pp_named : (node -> string) -> Format.formatter -> t -> unit
 (** Prints with a caller-supplied node-naming function. *)
 
+(** Raw 62-bit words, for code that combines sets word by word
+    without allocating, or keeps bitsets of its own over another index
+    space (the per-node incident-edge bitsets of
+    [Hypergraph.Graph]). *)
+module Words : sig
+  val bits : int
+  (** Bits per word: {!small_capacity}.  Word [k] of a set holds its
+      members [62k .. 62k+61], member [62k + i] at bit [i]. *)
+
+  val count : t -> int
+  (** Words in the set's representation, at least 1; every word at
+      or beyond it is 0.  It depends on the representation, not only
+      on the value. *)
+
+  val get : t -> int -> int
+  (** [get s k] is word [k] of [s], 0 for [k >= count s]. *)
+
+  val lowest_bit : int -> int
+  (** Index of the lowest set bit of a nonzero word. *)
+
+  val highest_bit : int -> int
+  (** Index of the highest set bit of a nonzero word. *)
+end
+
 (** Test-only hooks for the differential oracle layer
     ([test/test_widening.ml]): they let the small-graph algorithms run
     entirely on wide representations so the two paths can be compared

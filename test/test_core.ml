@@ -971,6 +971,185 @@ let test_emission_allocation () =
       ("chain-30", Workloads.Shapes.chain 30);
     ]
 
+(* ---------- pair resolution vs. a naive id-order scan ---------- *)
+
+(* The emission contract written out as directly as it reads in
+   emit.mli, sharing no index with [Graph]: scan every edge in id
+   order with [He.orient] and the pending rule, conjoin the connecting
+   selectivities in ascending id order and the pending ones in
+   descending id order, and cost every valid argument order.  Each
+   candidate comes back as (operator, left set, edge ids, sel, card,
+   cost), floats as IEEE bits. *)
+let naive_resolution ~model g (p1 : Plans.Plan.t) (p2 : Plans.Plan.t) =
+  let module Op = Relalg.Operator in
+  let s1 = p1.set and s2 = p2.set in
+  let both = Ns.union s1 s2 in
+  let ids = List.init (G.num_edges g) Fun.id in
+  let connecting =
+    List.filter_map
+      (fun i -> Option.map (fun o -> (i, o)) (He.orient (G.edge g i) s1 s2))
+      ids
+  in
+  let pending =
+    List.filter
+      (fun i ->
+        let c = G.edge_cover g i in
+        Ns.subset c both
+        && (not (Ns.subset c s1))
+        && (not (Ns.subset c s2))
+        && not (List.mem_assoc i connecting))
+      ids
+  in
+  let inner i = (G.edge g i).He.op.Op.kind = Op.Inner in
+  let non_inner = List.filter (fun (i, _) -> not (inner i)) connecting in
+  if connecting = [] || not (List.for_all inner pending) then []
+  else
+    let fold = List.fold_left (fun acc i -> acc *. (G.edge g i).He.sel) 1.0 in
+    let sel = fold (List.map fst connecting) *. fold (List.rev pending) in
+    let edge_ids = List.map fst connecting @ pending in
+    let cand op (l : Plans.Plan.t) (r : Plans.Plan.t) =
+      let dependent = Ns.intersects (G.free_of g r.set) l.set in
+      if
+        Ns.intersects (G.free_of g l.set) r.set
+        || (dependent && op.Op.kind = Op.Full_outer)
+      then None
+      else
+        let op = if dependent then Op.to_dependent op else op in
+        let card = Costing.Cardinality.estimate op l.card r.card sel in
+        let cost = Plans.Plan.join_cost model ~op l r ~card in
+        let bits = Int64.bits_of_float in
+        Some (op, l.set, edge_ids, bits sel, bits card, bits cost)
+    in
+    match non_inner with
+    | [] -> List.filter_map Fun.id [ cand Op.join p1 p2; cand Op.join p2 p1 ]
+    | [ (i, o) ] ->
+        let op = (G.edge g i).He.op in
+        let l, r = if o = He.Forward then (p1, p2) else (p2, p1) in
+        List.filter_map Fun.id
+          (cand op l r :: (if Op.commutative op then [ cand op r l ] else []))
+    | _ :: _ :: _ -> []
+
+let resolution_of_plan (p : Plans.Plan.t) =
+  match p.tree with
+  | Plans.Plan.Join j ->
+      let bits = Int64.bits_of_float in
+      (j.op, j.left.set, j.edge_ids, bits j.sel, bits p.card, bits p.cost)
+  | Plans.Plan.Scan _ | Plans.Plan.Compound _ -> assert false
+
+(* A random hypergraph with exactly [m] edges over [n] nodes: hypernodes
+   of one or two nodes, a [w] node on some edges, a share [non_inner]
+   of non-inner operators, and free variables on some relations.
+   Parallel edges are allowed, so [m] may exceed the node pairs. *)
+let resolution_graph rng ~n ~m ~non_inner =
+  let module Op = Relalg.Operator in
+  let node () = Random.State.int rng n in
+  let ops =
+    [| Op.left_outer; Op.left_anti; Op.left_semi; Op.full_outer; Op.left_nest |]
+  in
+  let edges =
+    Array.init m (fun id ->
+        let a = node () in
+        let b = (a + 1 + Random.State.int rng (n - 1)) mod n in
+        let grow s =
+          let c = node () in
+          if Random.State.int rng 3 = 0 && not (Ns.mem c s) then Ns.add c s else s
+        in
+        let u = grow (Ns.singleton a) in
+        let v = Ns.diff (grow (Ns.singleton b)) u in
+        let v = if Ns.is_empty v then Ns.singleton b else v in
+        let u = Ns.diff u v in
+        let c = node () in
+        let w =
+          if Random.State.int rng 4 = 0 && not (Ns.mem c (Ns.union u v)) then
+            Ns.singleton c
+          else Ns.empty
+        in
+        let op =
+          if Random.State.float rng 1.0 < non_inner then
+            ops.(Random.State.int rng (Array.length ops))
+          else Op.join
+        in
+        He.make ~id ~w ~op ~sel:(0.001 +. Random.State.float rng 0.998) u v)
+  in
+  let rels =
+    Array.init n (fun i ->
+        let free =
+          if Random.State.int rng 8 = 0 then Ns.singleton ((i + 1 + node ()) mod n)
+          else Ns.empty
+        in
+        let free = Ns.remove i free in
+        G.base_rel ~free ~card:(1.0 +. Random.State.float rng 1e4)
+          (Printf.sprintf "R%d" i))
+  in
+  G.make rels edges
+
+(* A plan over an arbitrary set: resolution reads only the set, the
+   cardinality and the cost of each side. *)
+let plan_over rng s : Plans.Plan.t =
+  {
+    set = s;
+    card = 1.0 +. Random.State.float rng 1e6;
+    cost = Random.State.float rng 1e7;
+    tree = Plans.Plan.Scan (Ns.min_elt s);
+  }
+
+(* Two disjoint sides around a random edge — its [u] on one side, its
+   [v] on the other — each grown by a few random nodes, so that most
+   pairs have connecting and some have pending edges. *)
+let random_sides rng g =
+  let n = G.num_nodes g in
+  let e = G.edge g (Random.State.int rng (G.num_edges g)) in
+  let s1 = ref e.He.u and s2 = ref e.He.v in
+  Ns.iter
+    (fun x ->
+      if Random.State.bool rng then s1 := Ns.add x !s1 else s2 := Ns.add x !s2)
+    e.He.w;
+  for _ = 1 to Random.State.int rng 5 do
+    let x = Random.State.int rng n in
+    if not (Ns.mem x (Ns.union !s1 !s2)) then
+      if Random.State.bool rng then s1 := Ns.add x !s1 else s2 := Ns.add x !s2
+  done;
+  if Random.State.bool rng then (!s1, !s2) else (!s2, !s1)
+
+let resolution_agrees rng g ~pairs =
+  let model = Costing.Cost_model.c_mm in
+  let ok = ref true in
+  for _ = 1 to pairs do
+    let s1, s2 = random_sides rng g in
+    let p1 = plan_over rng s1 and p2 = plan_over rng s2 in
+    let got =
+      List.map resolution_of_plan
+        (Core.Emit.candidates ~model ~counters:(Core.Counters.create ()) g p1 p2)
+    in
+    if got <> naive_resolution ~model g p1 p2 then ok := false
+  done;
+  !ok
+
+(* Edge counts straddling the 62-bit word boundaries of the edge-id
+   bitsets, plus a few small ones. *)
+let prop_resolution_matches_naive =
+  QCheck.Test.make
+    ~name:"pair resolution = naive id-order scan (61-125 edges, word boundaries)"
+    ~count:40
+    QCheck.(int_bound 10_000)
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let m = [| 5; 20; 61; 62; 63; 124; 125 |].(seed mod 7) in
+      let non_inner = [| 0.0; 0.05; 0.3 |].(seed mod 3) in
+      let g = resolution_graph rng ~n:(8 + Random.State.int rng 7) ~m ~non_inner in
+      resolution_agrees rng g ~pairs:300)
+
+(* More than 62 nodes: the node sets mix single-word and multi-word
+   representations. *)
+let test_resolution_wide () =
+  List.iter
+    (fun (seed, m) ->
+      let rng = Random.State.make [| seed |] in
+      let g = resolution_graph rng ~n:70 ~m ~non_inner:0.05 in
+      check (Printf.sprintf "70 nodes, %d edges" m) true
+        (resolution_agrees rng g ~pairs:500))
+    [ (1, 62); (2, 125); (3, 200) ]
+
 (* ---------- indexed enumeration vs. naive reference ---------- *)
 
 (* A reference DPhyp enumerator: the same five member functions as
@@ -1192,5 +1371,10 @@ let () =
             test_emission_reference_derived;
           Alcotest.test_case "allocation per csg-cmp-pair" `Quick
             test_emission_allocation;
+        ] );
+      ( "resolve",
+        [
+          q prop_resolution_matches_naive;
+          Alcotest.test_case "over 62 nodes" `Quick test_resolution_wide;
         ] );
     ]

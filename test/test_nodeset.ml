@@ -165,6 +165,39 @@ let prop_fold_sum =
       Ns.fold (fun v acc -> acc + v) s 0
       = List.fold_left ( + ) 0 (Ns.to_list s))
 
+(* [Words] is the raw view the edge-id bitsets of [Hypergraph.Graph]
+   are walked with: reading the members back word by word, lowest bit
+   first or highest bit first, gives the set in either order, for
+   single-word, forced-wide and genuinely wide values alike. *)
+let members_of_words ~desc s =
+  let acc = ref [] and n = Ns.Words.count s in
+  for i = 0 to n - 1 do
+    let k = if desc then n - 1 - i else i in
+    let m = ref (Ns.Words.get s k) in
+    while !m <> 0 do
+      let b =
+        if desc then Ns.Words.highest_bit !m else Ns.Words.lowest_bit !m
+      in
+      m := !m land lnot (1 lsl b);
+      acc := ((k * Ns.Words.bits) + b) :: !acc
+    done
+  done;
+  if desc then !acc else List.rev !acc
+
+let prop_words_model =
+  QCheck.Test.make ~name:"Words read back every member, small and wide"
+    ~count:500
+    QCheck.(small_list (int_bound 300))
+    (fun vs ->
+      let wide = Ns.of_list vs in
+      let small = Ns.of_list (List.filter (fun v -> v < Ns.small_capacity) vs) in
+      List.for_all
+        (fun s ->
+          members_of_words ~desc:false s = Ns.to_list s
+          && members_of_words ~desc:true s = Ns.to_list s
+          && Ns.Words.get s (Ns.Words.count s) = 0)
+        [ wide; small; Ns.Internal.force_wide small ])
+
 (* ---------- Subset_enum ---------- *)
 
 let test_subsets_count () =
@@ -319,6 +352,7 @@ let () =
           q prop_cardinal;
           q prop_min_is_first;
           q prop_fold_sum;
+          q prop_words_model;
         ] );
       ( "subset_enum",
         [
