@@ -158,8 +158,9 @@ let solve ?obs ?(model = Costing.Cost_model.c_out) ?budget
               let conv_entries = Plans.Dp_table.size o.Dpconv.dp in
               let tight =
                 (* the C_max lower bound argument is specific to
-                   output-cardinality costing *)
-                model.Costing.Cost_model.name = "cout"
+                   output-cardinality costing: the model itself, not
+                   any model that shares its name *)
+                model == Costing.Cost_model.c_out
                 && o.Dpconv.bound <= o.Dpconv.cmax *. (1. +. 1e-9)
               in
               if tight then finish Conv conv_counters conv_entries (Some plan)

@@ -20,7 +20,9 @@ module He = Hypergraph.Hyperedge
    below.  Binary search over the distinct intermediate cardinalities
    then pins the exact optimum in O(log 2^n) feasibility passes of
    O(2^n · n²) each — Õ(2^n) total, against DPhyp's Θ(3^n) pairs on a
-   clique.
+   clique.  The search only runs between card(V) and the C_max of a
+   greedy plan, and a pass stops as soon as its layers show that V is
+   out of reach, so most below-optimum passes cost a few layers.
 
    C_out (sum of intermediates) does not decompose like that, so its
    mode refines the optimal-C_max feasible family with a layered,
@@ -38,7 +40,7 @@ let objective_of_name = function
   | _ -> None
 
 (* The transforms keep one int array per rank: Θ(n·2^n) words, ~40 MB
-   at 18 relations — and every feasibility pass touches all of it. *)
+   at 18 relations — and every feasible pass touches all of it. *)
 let max_relations = 18
 
 let all_inner g =
@@ -79,31 +81,35 @@ let check_len ~bits a name =
   if Array.length a <> 1 lsl bits then
     invalid_arg (Printf.sprintf "Dpconv.%s: array length must be 2^bits" name)
 
-let zeta_in_place ~bits a =
-  check_len ~bits a "zeta_in_place";
+(* The one kernel behind every transform here.  Walk the lattice in
+   blocks of 2·bit entries: the upper half of a block holds the sets
+   with the bit and the lower half the same sets without it, so every
+   entry finds its partner at a fixed offset and none is tested for
+   membership.  Zeta adds the partner, Möbius subtracts it. *)
+let butterfly ~inverse ~bits a =
   let size = 1 lsl bits in
   for i = 0 to bits - 1 do
-    let bit = 1 lsl i in
-    for s = 0 to size - 1 do
-      if s land bit <> 0 then
-        Array.unsafe_set a s
-          (Array.unsafe_get a s + Array.unsafe_get a (s lxor bit))
+    let b = 1 lsl i in
+    let lo = ref 0 in
+    while !lo < size do
+      for j = !lo + b to !lo + (2 * b) - 1 do
+        let x = Array.unsafe_get a j and y = Array.unsafe_get a (j - b) in
+        Array.unsafe_set a j (if inverse then x - y else x + y)
+      done;
+      lo := !lo + (2 * b)
     done
   done
+
+let zeta_in_place ~bits a =
+  check_len ~bits a "zeta_in_place";
+  butterfly ~inverse:false ~bits a
 
 let mobius_in_place ~bits a =
   check_len ~bits a "mobius_in_place";
-  let size = 1 lsl bits in
-  for i = 0 to bits - 1 do
-    let bit = 1 lsl i in
-    for s = 0 to size - 1 do
-      if s land bit <> 0 then
-        Array.unsafe_set a s
-          (Array.unsafe_get a s - Array.unsafe_get a (s lxor bit))
-    done
-  done
+  butterfly ~inverse:true ~bits a
 
-let popcount_table size =
+(* popcounts size: byte s is the number of members of s. *)
+let popcounts size =
   let pop = Bytes.create size in
   Bytes.unsafe_set pop 0 '\000';
   for s = 1 to size - 1 do
@@ -111,7 +117,9 @@ let popcount_table size =
       (Char.unsafe_chr
          (Char.code (Bytes.unsafe_get pop (s lsr 1)) + (s land 1)))
   done;
-  fun s -> Char.code (Bytes.unsafe_get pop s)
+  pop
+
+let popc pop s = Char.code (Bytes.unsafe_get pop s)
 
 (* Ranked ("fast") subset convolution: zeta each cardinality slice,
    multiply pointwise rank by rank, Möbius-invert each target rank.
@@ -122,13 +130,13 @@ let subset_convolve ~bits f g =
   check_len ~bits f "subset_convolve";
   check_len ~bits g "subset_convolve";
   let size = 1 lsl bits in
-  let popc = popcount_table size in
+  let pop = popcounts size in
   let slice a r =
     let s = Array.make size 0 in
     for i = 0 to size - 1 do
-      if popc i = r then s.(i) <- a.(i)
+      if popc pop i = r then s.(i) <- a.(i)
     done;
-    zeta_in_place ~bits s;
+    butterfly ~inverse:false ~bits s;
     s
   in
   let zf = Array.init (bits + 1) (slice f) in
@@ -144,9 +152,9 @@ let subset_convolve ~bits f g =
           (Array.unsafe_get c s + (Array.unsafe_get a s * Array.unsafe_get b s))
       done
     done;
-    mobius_in_place ~bits c;
+    butterfly ~inverse:true ~bits c;
     for s = 0 to size - 1 do
-      if popc s = k then h.(s) <- c.(s)
+      if popc pop s = k then h.(s) <- c.(s)
     done
   done;
   h
@@ -172,6 +180,23 @@ let bucket_floor x =
   if x <= 0. || not (Float.is_finite x) then 0.
   else Float.min x (Float.pow 2. (Float.floor (Float.log2 x)))
 
+(* Upper bracket of the C_max search: a GOO plan is a witness, so the
+   largest card among its joins is an achievable threshold.  GOO gets
+   counters of its own, so the caller's pairs and budget see none of
+   its work.  [nan] if that card is [nan], which no threshold admits. *)
+let greedy_cmax g cards =
+  let rec worst (p : Plans.Plan.t) =
+    match p.Plans.Plan.tree with
+    | Plans.Plan.Join j ->
+        Float.max
+          cards.(Ns.to_int p.Plans.Plan.set)
+          (Float.max (worst j.Plans.Plan.left) (worst j.Plans.Plan.right))
+    | Plans.Plan.Scan _ | Plans.Plan.Compound _ -> neg_infinity
+  in
+  match Goo.solve ~counters:(Counters.create ()) g with
+  | Some p -> worst p
+  | None -> nan
+
 let solve ?(model = Costing.Cost_model.c_out) ?(objective = Cmax)
     ?(counters = Counters.create ()) g =
   require_supported g;
@@ -190,7 +215,8 @@ let solve ?(model = Costing.Cost_model.c_out) ?(objective = Cmax)
     let lat = Se.Lattice.make (G.all_nodes g) in
     let size = 1 lsl n in
     let full = size - 1 in
-    let popc = popcount_table size in
+    let pop = popcounts size in
+    let popc s = popc pop s in
     let nb = Array.init n (fun v -> Ns.to_int (G.simple_neighbors g v)) in
     (* Per-node simple edges to higher-numbered partners.  cards below
        strips lowest bits first, so an edge {a,b} (a < b) multiplies in
@@ -203,7 +229,11 @@ let solve ?(model = Costing.Cost_model.c_out) ?(objective = Cmax)
         let lo, hi = if a < b then (a, b) else (b, a) in
         edge_sels.(lo) <- (1 lsl hi, e.He.sel) :: edge_sels.(lo))
       (G.edges g);
-    let edge_sels = Array.map Array.of_list edge_sels in
+    let edge_bits =
+      Array.map (fun l -> Array.of_list (List.map fst l)) edge_sels
+    and edge_sels =
+      Array.map (fun l -> Float.Array.of_list (List.map snd l)) edge_sels
+    in
     (* cards.(s): estimated cardinality of the join over s with every
        internal predicate applied exactly once — by the pending rule
        of Emit this is what any valid plan over s produces,
@@ -216,10 +246,13 @@ let solve ?(model = Costing.Cost_model.c_out) ?(objective = Cmax)
       if popc s >= 2 then begin
         let low = s land (-s) in
         let rest = s lxor low in
+        let bits = edge_bits.(ctz low) and sels = edge_sels.(ctz low) in
         let c = ref (cards.(rest) *. cards.(low)) in
-        Array.iter
-          (fun (bit, sel) -> if rest land bit <> 0 then c := !c *. sel)
-          edge_sels.(ctz low);
+        (* a loop, not a closure: c stays an unboxed float *)
+        for e = 0 to Array.length bits - 1 do
+          if rest land Array.unsafe_get bits e <> 0 then
+            c := !c *. Float.Array.unsafe_get sels e
+        done;
         cards.(s) <- !c
       end
     done;
@@ -252,68 +285,171 @@ let solve ?(model = Costing.Cost_model.c_out) ?(objective = Cmax)
     if not (connected full) then
       { plan = None; cmax = nan; bound = nan; feasible = 0; dp }
     else begin
+      (* conn_rank.(k): the connected sets of rank k, ascending — the
+         only sets a layer can admit. *)
+      let conn_rank =
+        let count = Array.make (n + 1) 0 in
+        for s = 1 to size - 1 do
+          if connected s then count.(popc s) <- count.(popc s) + 1
+        done;
+        let by = Array.map (fun c -> Array.make c 0) count in
+        Array.fill count 0 (n + 1) 0;
+        for s = 1 to size - 1 do
+          if connected s then begin
+            let k = popc s in
+            by.(k).(count.(k)) <- s;
+            count.(k) <- count.(k) + 1
+          end
+        done;
+        by
+      in
       (* Candidate thresholds: every distinct intermediate cardinality
-         of a connected set, at least card(V) (the root join is always
-         an intermediate).  τ* is one of them. *)
-      let cand = ref [] in
-      for s = 0 to size - 1 do
-        if popc s >= 2 && connected s && cards.(s) >= cards.(full) then
-          cand := cards.(s) :: !cand
-      done;
-      let cand = Array.of_list (List.sort_uniq compare !cand) in
+         of a connected set between card(V) (the root join is always an
+         intermediate) and the greedy bracket.  τ* is one of them. *)
+      let cand =
+        let lo = cards.(full) and hi = greedy_cmax g cards in
+        let hi = if Float.is_nan hi then infinity else hi in
+        let a =
+          Float.Array.create
+            (Array.fold_left (fun m l -> m + Array.length l) 0 conn_rank)
+        in
+        let m = ref 0 in
+        for k = 2 to n do
+          Array.iter
+            (fun s ->
+              let c = cards.(s) in
+              if c >= lo && c <= hi then begin
+                Float.Array.unsafe_set a !m c;
+                incr m
+              end)
+            conn_rank.(k)
+        done;
+        let a = Float.Array.sub a 0 !m in
+        Float.Array.sort Float.compare a;
+        (* drop duplicates in place *)
+        let m = ref 0 in
+        for i = 0 to Float.Array.length a - 1 do
+          let c = Float.Array.get a i in
+          if !m = 0 || Float.compare c (Float.Array.get a (!m - 1)) <> 0
+          then begin
+            Float.Array.set a !m c;
+            incr m
+          end
+        done;
+        Float.Array.sub a 0 !m
+      in
       (* One feasibility pass: layer k of the achievability indicator
          f is the rank-k slice of the ranked subset convolution of the
-         layers below — c(S) counts ordered partitions of S into two
+         layers below — c(S) counts the partitions of S into two
          achievable halves — masked by connectivity and cards ≤ τ.
-         zf.(r) caches the zeta transform of each finished layer. *)
-      let f = Bytes.create size in
+         zf.(r) caches the zeta transform of each finished layer and
+         count.(r) its size; layer 1 (every singleton) is the same in
+         every pass. *)
+      let f = ref (Bytes.create size) and f_best = ref (Bytes.create size) in
       let zf = Array.make n [||] in
       for r = 1 to n - 1 do
         zf.(r) <- Array.make size 0
       done;
+      for v = 0 to n - 1 do
+        zf.(1).(1 lsl v) <- 1
+      done;
+      butterfly ~inverse:false ~bits:n zf.(1);
+      let count = Array.make (n + 1) 0 in
+      count.(1) <- n;
       let cbuf = Array.make size 0 in
-      let feasible_at tau =
-        Bytes.fill f 0 size '\000';
-        let z1 = zf.(1) in
-        Array.fill z1 0 size 0;
-        for v = 0 to n - 1 do
-          Bytes.unsafe_set f (1 lsl v) '\001';
-          z1.(1 lsl v) <- 1
-        done;
-        zeta_in_place ~bits:n z1;
-        for k = 2 to n do
-          Array.fill cbuf 0 size 0;
-          for i = 1 to k - 1 do
+      (* c = Σ zf_i · zf_(k-i) over 1 ≤ i ≤ k-i, skipping empty layers.
+         Each unordered pair of ranks enters once: at a rank-k set the
+         Möbius value of one term counts the partitions with those two
+         half sizes, so every term is ≥ 0 there and dropping the
+         mirror terms keeps the sign that the layer tests.  False when
+         every term vanishes, i.e. layer k is empty. *)
+      let products k =
+        let first = ref true in
+        for i = 1 to k / 2 do
+          if count.(i) > 0 && count.(k - i) > 0 then begin
             let a = zf.(i) and b = zf.(k - i) in
-            for s = 0 to size - 1 do
-              Array.unsafe_set cbuf s
-                (Array.unsafe_get cbuf s
-                + (Array.unsafe_get a s * Array.unsafe_get b s))
-            done
-          done;
-          mobius_in_place ~bits:n cbuf;
-          let zk = if k < n then zf.(k) else [||] in
-          if k < n then Array.fill zk 0 size 0;
-          for s = 0 to size - 1 do
-            if popc s = k then
-              if cbuf.(s) > 0 && connected s && cards.(s) <= tau then begin
-                Bytes.unsafe_set f s '\001';
-                if k < n then zk.(s) <- 1
-              end
-          done;
-          if k < n then zeta_in_place ~bits:n zk
+            if !first then begin
+              first := false;
+              for s = 0 to size - 1 do
+                Array.unsafe_set cbuf s
+                  (Array.unsafe_get a s * Array.unsafe_get b s)
+              done
+            end
+            else
+              for s = 0 to size - 1 do
+                Array.unsafe_set cbuf s
+                  (Array.unsafe_get cbuf s
+                  + (Array.unsafe_get a s * Array.unsafe_get b s))
+              done
+          end
         done;
+        not !first
+      in
+      (* Every achievable set of more than j relations has a witness
+         whose larger half, followed down, meets a set with between
+         ⌈(j+1)/2⌉ and j relations; once those layers are all empty,
+         V is out of reach. *)
+      let dead j =
+        let rec empty r = r > j || (count.(r) = 0 && empty (r + 1)) in
+        empty ((j + 2) / 2)
+      in
+      let feasible_at tau =
+        let f = !f in
+        Bytes.fill f 0 size '\000';
+        for v = 0 to n - 1 do
+          Bytes.unsafe_set f (1 lsl v) '\001'
+        done;
+        let rec layer k =
+          if k <= n && not (dead (k - 1)) then begin
+            count.(k) <- 0;
+            if products k then begin
+              butterfly ~inverse:true ~bits:n cbuf;
+              (* layer n (V alone) is read, never convolved *)
+              let zk = if k < n then zf.(k) else [||] in
+              if k < n then Array.fill zk 0 size 0;
+              let sets = conn_rank.(k) in
+              for j = 0 to Array.length sets - 1 do
+                let s = Array.unsafe_get sets j in
+                if Array.unsafe_get cbuf s > 0 && cards.(s) <= tau then begin
+                  Bytes.unsafe_set f s '\001';
+                  if k < n then Array.unsafe_set zk s 1;
+                  count.(k) <- count.(k) + 1
+                end
+              done;
+              if k < n && count.(k) > 0 then butterfly ~inverse:false ~bits:n zk
+            end;
+            layer (k + 1)
+          end
+        in
+        layer 2;
         Bytes.unsafe_get f full <> '\000'
       in
-      (* Feasibility is monotone in τ and the largest candidate always
-         works, so binary search finds the exact optimum. *)
-      let lo = ref 0 and hi = ref (Array.length cand - 1) in
+      (* Feasibility is monotone in τ and the bracket's top is
+         achievable, so binary search finds the exact optimum.  f_best
+         keeps the bytes of the last feasible pass, the one at the
+         final hi. *)
+      let lo = ref 0 and hi = ref (Float.Array.length cand - 1) in
+      let kept = ref (-1) in
+      let probe mid =
+        if feasible_at (Float.Array.get cand mid) then begin
+          let t = !f in
+          f := !f_best;
+          f_best := t;
+          kept := mid;
+          hi := mid
+        end
+        else lo := mid + 1
+      in
+      (* The greedy plan is often C_max-optimal already; one probe just
+         below its value settles that case in one pass and costs the
+         search one pass otherwise. *)
+      if !lo < !hi then probe (!hi - 1);
       while !lo < !hi do
-        let mid = (!lo + !hi) / 2 in
-        if feasible_at cand.(mid) then hi := mid else lo := mid + 1
+        probe ((!lo + !hi) / 2)
       done;
-      let tau = cand.(!lo) in
-      ignore (feasible_at tau : bool);
+      let tau = Float.Array.get cand !lo in
+      if !kept <> !lo then probe !lo;
+      let f = !f_best in
       let ok s = Bytes.unsafe_get f s <> '\000' in
       let feasible_count = ref 0 in
       for s = 0 to size - 1 do
@@ -370,15 +506,19 @@ let solve ?(model = Costing.Cost_model.c_out) ?(objective = Cmax)
           for v = 0 to n - 1 do
             ub.(1 lsl v) <- 0.
           done;
-          let by_rank = Array.make (n + 1) [] in
-          for s = size - 1 downto 1 do
-            if ok s then by_rank.(popc s) <- s :: by_rank.(popc s)
-          done;
-          let by_rank = Array.map Array.of_list by_rank in
-          (* (set, bucket floor of its bound) per rank, ascending *)
+          (* by_rank.(k): the achievable sets of rank k, ascending *)
+          let by_rank =
+            Array.map
+              (fun layer ->
+                Array.of_list (List.filter ok (Array.to_list layer)))
+              conn_rank
+          in
+          (* Per rank, the sets in ascending (bucket floor of the bound,
+             set) order and, alongside, their floors. *)
           let sorted = Array.make (n + 1) [||] in
-          sorted.(1) <-
-            Array.map (fun s -> (s, 0.)) by_rank.(1);
+          let floors = Array.make (n + 1) (Float.Array.create 0) in
+          sorted.(1) <- by_rank.(1);
+          floors.(1) <- Float.Array.make (Array.length by_rank.(1)) 0.;
           let minub = Array.make (n + 1) infinity in
           minub.(1) <- 0.;
           let work = ref 0 in
@@ -391,13 +531,15 @@ let solve ?(model = Costing.Cost_model.c_out) ?(objective = Cmax)
                   (try
                      for i = 1 to k - 1 do
                        let lower = minub.(k - i) in
-                       let arr = sorted.(i) in
+                       let arr = sorted.(i) and fl = floors.(i) in
                        let stop = ref false in
                        let j = ref 0 in
                        while (not !stop) && !j < Array.length arr do
-                         let t, tfloor = arr.(!j) in
-                         if cards.(s) +. tfloor +. lower >= !best then
-                           stop := true
+                         let t = Array.unsafe_get arr !j in
+                         if
+                           cards.(s) +. Float.Array.unsafe_get fl !j +. lower
+                           >= !best
+                         then stop := true
                          else begin
                            incr work;
                            Counters.tick_pair counters;
@@ -424,17 +566,33 @@ let solve ?(model = Costing.Cost_model.c_out) ?(objective = Cmax)
                 ub.(s) <- !best;
                 split.(s) <- !bestt)
               by_rank.(k);
-            let entries =
-              Array.map (fun s -> (s, bucket_floor ub.(s))) by_rank.(k)
-            in
+            let layer = by_rank.(k) in
+            let len = Array.length layer in
+            let fl = Float.Array.create len in
+            for p = 0 to len - 1 do
+              Float.Array.unsafe_set fl p (bucket_floor ub.(layer.(p)))
+            done;
+            (* positions, not sets: ties fall back to the ascending
+               layer order, i.e. to the set *)
+            let order = Array.init len Fun.id in
             Array.sort
-              (fun (s1, f1) (s2, f2) ->
-                match compare f1 f2 with 0 -> compare s1 s2 | c -> c)
-              entries;
-            sorted.(k) <- entries;
+              (fun a b ->
+                match
+                  Float.compare (Float.Array.unsafe_get fl a)
+                    (Float.Array.unsafe_get fl b)
+                with
+                | 0 -> Int.compare a b
+                | c -> c)
+              order;
+            let fk = Float.Array.create len in
+            for p = 0 to len - 1 do
+              Float.Array.unsafe_set fk p (Float.Array.unsafe_get fl order.(p))
+            done;
+            sorted.(k) <- Array.map (fun p -> layer.(p)) order;
+            floors.(k) <- fk;
             Array.iter
               (fun s -> if ub.(s) < minub.(k) then minub.(k) <- ub.(s))
-              by_rank.(k)
+              layer
           done);
       (* Materialize the witness: emit each chosen split bottom-up
          through the canonical emitter, so costs come from the session

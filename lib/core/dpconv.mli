@@ -13,10 +13,15 @@
     pipeline over the subset lattice costing Õ(2^n) per threshold, and
     a binary search over the O(2^n) distinct intermediate
     cardinalities pins the exact optimum — Õ(2^n) total instead of
-    Θ(3^n).  Subsets are dense array indexes via
-    [Subset_enum.Lattice]; a connectivity mask computed from the
-    graph's incidence indexes keeps disconnected subsets out of every
-    layer, so no disconnected set can ever become a champion.
+    Θ(3^n).  The search is bracketed by card(V) below and by the C_max
+    of a greedy ({!Goo}) plan above, and its first probe goes just
+    below the greedy value, which is often optimal already; a pass
+    whose layers run dry stops early, and the final answer reuses the
+    last feasible pass instead of running it again.  Subsets are dense
+    array indexes via [Subset_enum.Lattice]; a connectivity mask
+    computed from the graph's incidence indexes keeps disconnected
+    subsets out of every layer, so no disconnected set can ever become
+    a champion.
 
     The sum objective C_out does not decompose over a boolean lattice,
     so this module offers a {e certified upper bound} instead
@@ -51,8 +56,8 @@ val objective_of_name : string -> objective option
 
 val max_relations : int
 (** Largest graph the transforms accept (18): the working set is
-    Θ(n·2^n) words — about 40 MB at the cap — and every layer touches
-    all of it. *)
+    Θ(n·2^n) words — about 40 MB at the cap — and every layer of a
+    feasible pass touches all of it. *)
 
 val supported : Hypergraph.Graph.t -> bool
 (** Whether {!solve} accepts the graph: at most {!max_relations}
@@ -98,7 +103,8 @@ val solve :
 
     Exposed for the differential tests: in-place subset-sum (zeta) and
     inversion (Möbius) over a flat lattice array, and the full ranked
-    fast subset convolution. *)
+    fast subset convolution.  They run the same block-structured kernel
+    as {!solve}'s feasibility passes. *)
 
 val zeta_in_place : bits:int -> int array -> unit
 (** [zeta_in_place ~bits a] replaces [a.(s)] with [Σ_{t ⊆ s} a.(t)]

@@ -308,10 +308,27 @@ let test_pipeline_budget_error () =
 
 module Dc = Core.Dpconv
 
+(* Catalogs selective enough that intermediates can shrink, which
+   gives the C_max search more than one candidate between card(V) and
+   the greedy bracket. *)
+let selective seed =
+  { Workloads.Shapes.seed; min_card = 10.; max_card = 1e5; min_sel = 1e-4;
+    max_sel = 0.05 }
+
 (* Simple inner-join graphs n <= 10 — the band where the brute-force
    C_max reference below is affordable. *)
 let dpconv_suite () =
   [
+    (* the greedy plan is optimal and the only candidate: no search pass *)
+    ("clique3-one-candidate", Workloads.Shapes.clique ~p:(selective 0) 3);
+    (* every search pass infeasible: the bracket's top is the answer *)
+    ("clique5-all-infeasible", Workloads.Shapes.clique ~p:(selective 2) 5);
+    (* the search ends on an infeasible pass and keeps an earlier one *)
+    ("clique5-ends-infeasible", Workloads.Shapes.clique ~p:(selective 94) 5);
+    (* a longer search: feasible, infeasible, infeasible, feasible *)
+    ("clique5-fiif", Workloads.Shapes.clique ~p:(selective 90) 5);
+    (* the smallest graph the search runs on *)
+    ("two-relations", Workloads.Shapes.chain ~p:(selective 7) 2);
     ("chain7", Workloads.Shapes.chain 7);
     ("cycle8", Workloads.Shapes.cycle 8);
     ("star6", Workloads.Shapes.star 6);
@@ -530,6 +547,78 @@ let test_dpconv_rejects_unsupported () =
   check "clique-19 over the cap" false
     (Dc.supported (Workloads.Shapes.clique 19))
 
+let test_dpconv_disconnected () =
+  let rels = Array.init 3 (fun i -> G.base_rel ~card:100. (Printf.sprintf "R%d" i)) in
+  let g = G.make rels [| Hypergraph.Hyperedge.simple ~sel:0.1 ~id:0 0 1 |] in
+  List.iter
+    (fun objective ->
+      let o = Dc.solve ~objective g in
+      check "no plan" true (o.Dc.plan = None);
+      check "cmax is nan" true (Float.is_nan o.Dc.cmax);
+      check "bound is nan" true (Float.is_nan o.Dc.bound);
+      Alcotest.(check int) "nothing feasible" 0 o.Dc.feasible)
+    [ Dc.Cmax; Dc.Cout_bound ]
+
+(* The exported transforms against their O(3^n) definitions, on random
+   int arrays of every width the test can afford. *)
+let naive_over_subsets ~bits term =
+  Array.init (1 lsl bits) (fun s ->
+      let acc = ref 0 and t = ref s in
+      let continue = ref true in
+      while !continue do
+        acc := !acc + term s !t;
+        if !t = 0 then continue := false else t := (!t - 1) land s
+      done;
+      !acc)
+
+let popcount x =
+  let rec go x c = if x = 0 then c else go (x land (x - 1)) (c + 1) in
+  go x 0
+
+let prop_dpconv_transforms =
+  QCheck.Test.make ~name:"dpconv transforms = O(3^n) definitions" ~count:40
+    QCheck.(pair (int_bound 10) (int_bound 1_000_000))
+    (fun (bits, seed) ->
+      let rng = Random.State.make [| seed |] in
+      let random () =
+        Array.init (1 lsl bits) (fun _ -> Random.State.int rng 201 - 100)
+      in
+      let f = random () and g = random () in
+      let zeta = Array.copy f in
+      Dc.zeta_in_place ~bits zeta;
+      let mobius = Array.copy f in
+      Dc.mobius_in_place ~bits mobius;
+      zeta = naive_over_subsets ~bits (fun _ t -> f.(t))
+      && mobius
+         = naive_over_subsets ~bits (fun s t ->
+               if popcount (s lxor t) land 1 = 0 then f.(t) else - f.(t))
+      && Dc.subset_convolve ~bits f g
+         = naive_over_subsets ~bits (fun s t -> f.(t) * g.(s lxor t)))
+
+(* Adaptive skips its exact rung when the conv plan's C_out meets the
+   C_max lower bound.  That argument holds for C_out itself only, not
+   for any model that happens to carry its name. *)
+let test_adaptive_cout_by_identity () =
+  let g = Workloads.Shapes.clique 12 in
+  let renamed = { Costing.Cost_model.c_mm with name = "cout" } in
+  let plain = Opt.run ~model:Costing.Cost_model.c_mm Opt.Adaptive g in
+  let r = Opt.run ~model:renamed Opt.Adaptive g in
+  check "renamed c_mm takes c_mm's tier" true (r.Opt.tier = plain.Opt.tier);
+  Alcotest.(check (float 0.)) "renamed c_mm finds c_mm's cost"
+    (cost_of "clique12/c_mm" plain) (cost_of "clique12/renamed" r);
+  (* half of C_out under C_out's name: the conv plan meets C_max/2
+     easily, yet the exact rung must still run and find the optimum *)
+  let half =
+    { Costing.Cost_model.name = "cout";
+      op_cost = (fun _ ~left_card:_ ~right_card:_ ~out_card -> 0.5 *. out_card) }
+  in
+  let exact = cost_of "clique12/half-dphyp" (Opt.run ~model:half Opt.Dphyp g) in
+  let r = Opt.run ~model:half Opt.Adaptive g in
+  check "half C_out runs the exact rung" true
+    (r.Opt.tier = Some Core.Adaptive.Exact);
+  Alcotest.(check (float 0.)) "half C_out finds the optimum" exact
+    (cost_of "clique12/half-adaptive" r)
+
 (* ---------- parallel enumeration is invisible ---------- *)
 
 (* Whatever the shape, the size (n <= 14) and the jobs count, the
@@ -659,6 +748,11 @@ let () =
             test_dpconv_adaptive_budget;
           Alcotest.test_case "rejects unsupported graphs" `Quick
             test_dpconv_rejects_unsupported;
+          Alcotest.test_case "disconnected graph has no plan" `Quick
+            test_dpconv_disconnected;
+          q prop_dpconv_transforms;
+          Alcotest.test_case "tight shortcut only for c_out itself" `Quick
+            test_adaptive_cout_by_identity;
         ] );
       ( "parallel",
         [
